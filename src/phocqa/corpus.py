@@ -4,12 +4,18 @@ A document is an ordered word sequence with line membership; every word
 carries the PHOC vector of its transcription.  Recognition noise (the
 "predicted PHOC" condition) is simulated by independent Bernoulli bit
 flips on the document-side vectors; query vectors stay exact.
+
+For scoring, a collection is held as a packed index: each distinct word
+vector once as a 512-bit row of uint64 words, plus a token-to-row map and
+per-document offsets.  The packing format is defined here and nowhere else.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -54,9 +60,6 @@ class Document:
             ids.update(range(ln.start_word, ln.end_word + 1))
         return ids
 
-    def phoc_matrix(self) -> np.ndarray:
-        return np.stack([w.phoc for w in self.words])
-
 
 @dataclass(frozen=True)
 class Collection:
@@ -71,6 +74,88 @@ class Collection:
     def ordered(self) -> list[Document]:
         return [self.documents[k] for k in sorted(self.documents)]
 
+    @cached_property
+    def index(self) -> PackedIndex:
+        """The packed index over ordered(), built on first use."""
+        return build_index(self.ordered())
+
+
+PACKED_WORDS = 8  # uint64 words per packed PHOC: 504 bits, zero-padded to 512
+PACK_BLOCK = 4096  # float64 rows stacked at a time while packing
+_ROW_RECORD = np.dtype((np.void, PACKED_WORDS * 8))
+
+
+@dataclass(frozen=True)
+class PackedIndex:
+    """Word vectors of a document sequence, each distinct vector once.
+
+    Bit i of a PHOC is bit i % 64 of word i // 64 of its packed row (words in
+    native byte order); the padding bits are clear, so AND plus popcount of
+    two rows is the dot product of the binary vectors.
+    """
+
+    types: np.ndarray  # (V, PACKED_WORDS) uint64, distinct packed vectors
+    counts: np.ndarray  # (V,) set bits of each type
+    token_type: np.ndarray  # (N,) type of each token, documents concatenated
+    offsets: np.ndarray  # (D,) first token of each document
+    doc_ids: tuple[str, ...]  # (D,) id of each document
+
+
+def _pack_rows(matrix: np.ndarray) -> tuple[np.ndarray, int | None]:
+    """Pack (n, PHOC_DIM) rows; also return the first row holding a value
+    other than 0 or 1, or None (such a row packs meaninglessly)."""
+    if matrix.ndim != 2 or matrix.shape[1] != PHOC_DIM:
+        raise ValueError(f"PHOC vectors must have length {PHOC_DIM}")
+    ones = matrix == 1.0
+    bad = None
+    if np.count_nonzero(ones) != np.count_nonzero(matrix):
+        bad = int(np.argmax(((matrix != 0.0) & ~ones).any(axis=1)))
+    packed = np.zeros((len(matrix), PACKED_WORDS * 8), dtype=np.uint8)
+    packed[:, : (PHOC_DIM + 7) // 8] = np.packbits(ones, axis=1, bitorder="little")
+    return packed.view(np.uint64), bad
+
+
+def pack_phocs(vectors: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Pack binary PHOC vectors; returns (rows, set-bit counts)."""
+    packed, bad = _pack_rows(np.array(vectors, dtype=np.float64))
+    if bad is not None:
+        raise ValueError(f"vector {bad} is not binary")
+    return packed, np.bitwise_count(packed).sum(axis=1)
+
+
+def build_index(documents: Sequence[Document]) -> PackedIndex:
+    """Pack the word vectors of `documents`, in order, into one index.
+
+    Types are deduplicated by content, so tokens that share a transcription
+    share a row and so do equal vectors on a corrupted collection.  Rows are
+    stacked PACK_BLOCK at a time, never all at once.  An empty document or a
+    vector that is not binary raises ValueError naming the document.
+    """
+    for doc in documents:
+        if not doc.words:
+            raise ValueError(f"document {doc.doc_id!r} is empty")
+    offsets = np.cumsum([0] + [len(doc.words) for doc in documents], dtype=np.intp)[:-1]
+    words = [w for doc in documents for w in doc.words]
+    packed = np.empty((len(words), PACKED_WORDS), dtype=np.uint64)
+    for start in range(0, len(words), PACK_BLOCK):
+        block = np.array([w.phoc for w in words[start : start + PACK_BLOCK]], dtype=np.float64)
+        packed[start : start + len(block)], bad = _pack_rows(block)
+        if bad is not None:
+            doc = documents[int(np.searchsorted(offsets, start + bad, side="right")) - 1]
+            word = words[start + bad].word_index
+            raise ValueError(f"document {doc.doc_id!r}: PHOC of word {word} is not binary")
+    # Rows viewed as opaque 64-byte records: np.unique sorts these far faster
+    # than it sorts rows with axis=0.
+    records, token_type = np.unique(packed.view(_ROW_RECORD).ravel(), return_inverse=True)
+    types = records.view(np.uint64).reshape(-1, PACKED_WORDS)
+    return PackedIndex(
+        types=types,
+        counts=np.bitwise_count(types).sum(axis=1),
+        token_type=token_type,
+        offsets=offsets,
+        doc_ids=tuple(doc.doc_id for doc in documents),
+    )
+
 
 @dataclass(frozen=True)
 class Question:
@@ -82,7 +167,7 @@ class Question:
     gold_line_span: tuple[int, int]
 
 
-def _build_document(entry: dict) -> Document:
+def _build_document(entry: dict, encode: Callable[[str], np.ndarray]) -> Document:
     doc_id = entry["doc_id"]
     raw_words = entry["words"]
     if not raw_words:
@@ -97,12 +182,18 @@ def _build_document(entry: dict) -> Document:
             )
         text = normalize_token(w["text"])
         bbox = tuple(w["bbox"]) if w.get("bbox") is not None else None
-        words.append(Word(idx, w["line_index"], text, phoc_encode(text), bbox))
+        words.append(Word(idx, w["line_index"], text, encode(text), bbox))
 
     lines = tuple(
         Line(ln["line_index"], ln["start_word"], ln["end_word"])
         for ln in sorted(entry["lines"], key=lambda x: x["line_index"])
     )
+    for pos, ln in enumerate(lines):
+        if ln.line_index != pos:
+            raise ValueError(
+                f"document {doc_id!r}: line_index {ln.line_index} at position {pos} "
+                "(line indices must be 0-based and consecutive)"
+            )
     # Line spans must partition the word sequence in order.
     expected_start = 0
     for ln in lines:
@@ -122,13 +213,30 @@ def _build_document(entry: dict) -> Document:
     return Document(doc_id, tuple(words), lines)
 
 
+def shared_encoder() -> Callable[[str], np.ndarray]:
+    """A phoc_encode that encodes each distinct word once and hands every
+    later caller the same read-only vector."""
+    encoded: dict[str, np.ndarray] = {}
+
+    def encode(text: str) -> np.ndarray:
+        v = encoded.get(text)
+        if v is None:
+            v = encoded[text] = phoc_encode(text)
+            v.flags.writeable = False
+        return v
+
+    return encode
+
+
 def load_collection(path: str | Path) -> Collection:
-    """Load and fully validate a collection JSON file; PHOCs are computed here."""
+    """Load and fully validate a collection JSON file; PHOCs are computed
+    here, once per distinct word."""
     with open(path, encoding="utf-8") as f:
         data = json.load(f)
+    encode = shared_encoder()
     documents: dict[str, Document] = {}
     for entry in data["documents"]:
-        doc = _build_document(entry)
+        doc = _build_document(entry, encode)
         if doc.doc_id in documents:
             raise ValueError(f"duplicate doc_id {doc.doc_id!r}")
         documents[doc.doc_id] = doc
@@ -240,8 +348,20 @@ def corrupt_collection(collection: Collection, flip_rate: float, rng: np.random.
     """
     if flip_rate == 0.0:
         return collection
+    if not 0.0 <= flip_rate <= 1.0:
+        raise ValueError(f"flip_rate {flip_rate} outside [0, 1]")
     documents = {}
     for doc in collection.ordered():
-        words = tuple(replace(w, phoc=corrupt_phoc(w.phoc, flip_rate, rng)) for w in doc.words)
+        if not doc.words:
+            raise ValueError(f"document {doc.doc_id!r} is empty")
+        # One draw per document takes the same PCG64 stream as one
+        # corrupt_phoc draw per word, so the result matches that loop.
+        clean = np.stack([w.phoc for w in doc.words])
+        if not np.all((clean == 0.0) | (clean == 1.0)):
+            raise ValueError(f"document {doc.doc_id!r}: corrupt_collection expects binary vectors")
+        flips = rng.random(clean.shape) < flip_rate
+        noisy = np.abs(clean - flips.astype(np.float64))
+        noisy.flags.writeable = False
+        words = tuple(replace(w, phoc=row) for w, row in zip(doc.words, noisy))
         documents[doc.doc_id] = replace(doc, words=words)
     return Collection(documents)

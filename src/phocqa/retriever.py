@@ -1,9 +1,12 @@
 """Attention-based document retrieval.
 
 A document's relevance to a query is the mean over query PHOCs of the
-maximum cosine similarity against any word PHOC in the document.  Ranking
-is an exhaustive scan of the collection; ties are broken by doc_id so the
-ordering is deterministic.
+maximum cosine similarity against any word PHOC in the document.  The whole
+collection is scored in one vectorized pass over its packed index
+(corpus.PackedIndex): each query row meets each distinct word vector once,
+through AND and popcount, and the per-token similarities are reduced to
+per-document maxima.  Ties are broken by doc_id so the ordering is
+deterministic.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Collection, Document
+from .corpus import Collection, Document, PackedIndex, build_index, pack_phocs
 
 
 @dataclass(frozen=True)
@@ -22,24 +25,31 @@ class RetrievalResult:
     rank: int  # 1-based
 
 
-def _row_norms(mat: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(mat, axis=1)
-    return np.where(norms == 0.0, 1.0, norms)
+def segment_maxima(index: PackedIndex, query: list[np.ndarray], starts: np.ndarray) -> np.ndarray:
+    """Max cosine similarity of each query vector over each token segment.
+
+    Segment s holds the index's tokens from starts[s] up to the next start.
+    Returns an (S, J) C-contiguous array, so a mean over axis 1 sums each
+    row in the same order as np.mean of a 1-D array.
+    """
+    if not query:
+        raise ValueError("empty query")
+    qrows, qcounts = pack_phocs(query)
+    # The dots are exact integers whatever the word order, which keeps the
+    # scores bit-identical under word permutation.
+    dots = np.stack([np.bitwise_count(index.types & q).sum(axis=1) for q in qrows], axis=1)
+    qnorms = np.sqrt(qcounts.astype(np.float64))
+    tnorms = np.sqrt(index.counts.astype(np.float64))
+    qnorms[qnorms == 0.0] = 1.0
+    tnorms[tnorms == 0.0] = 1.0
+    sims = dots / np.outer(tnorms, qnorms)  # (V, J)
+    return np.maximum.reduceat(sims[index.token_type], starts, axis=0)
 
 
 def doc_score(document: Document, query: list[np.ndarray]) -> float:
     """Mean over query vectors of the max cosine similarity to any document word."""
-    if not query:
-        raise ValueError("empty query")
-    if not document.words:
-        raise ValueError(f"document {document.doc_id!r} is empty")
-    qmat = np.stack(query)
-    dmat = document.phoc_matrix()
-    # Take the raw dot products first and normalize afterwards.  For binary
-    # PHOCs the dots are exact integers whatever the summation order, which
-    # keeps the score bit-identical under word permutation.
-    sims = (qmat @ dmat.T) / np.outer(_row_norms(qmat), _row_norms(dmat))
-    return float(np.mean(np.max(sims, axis=1)))
+    index = build_index([document])
+    return float(segment_maxima(index, query, index.offsets).mean(axis=1)[0])
 
 
 def rank_collection(collection: Collection, query: list[np.ndarray], k: int) -> list[RetrievalResult]:
@@ -48,14 +58,11 @@ def rank_collection(collection: Collection, query: list[np.ndarray], k: int) -> 
         raise ValueError(f"k must be >= 1, got {k}")
     if len(collection) == 0:
         raise ValueError("empty collection")
-    scored = []
-    for doc in collection.ordered():
-        try:
-            scored.append((doc.doc_id, doc_score(doc, query)))
-        except ValueError as e:
-            raise ValueError(f"doc_id {doc.doc_id!r}: {e}") from e
-    scored.sort(key=lambda t: (-t[1], t[0]))
+    index = collection.index
+    scores = segment_maxima(index, query, index.offsets).mean(axis=1)
+    # a stable sort keeps the doc_id order of the index among equal scores
+    top = np.argsort(-scores, kind="stable")[:k]
     return [
-        RetrievalResult(doc_id=d, score=s, rank=i + 1)
-        for i, (d, s) in enumerate(scored[:k])
+        RetrievalResult(doc_id=index.doc_ids[i], score=float(scores[i]), rank=r + 1)
+        for r, i in enumerate(top)
     ]

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Document
-from .retriever import _row_norms
+from .corpus import Document, build_index
+from .retriever import segment_maxima
 
 
 @dataclass(frozen=True)
@@ -48,22 +48,16 @@ def make_snippets(document: Document) -> list[Snippet]:
 
 def answer_attention(document: Document, query: list[np.ndarray]) -> AnswerPrediction:
     """Return the best-scoring snippet; ties go to the earlier start line."""
-    if not query:
-        raise ValueError("empty query")
-    qmat = np.stack(query)
-    dmat = document.phoc_matrix()
-    sims = (qmat @ dmat.T) / np.outer(_row_norms(qmat), _row_norms(dmat))  # J x T
-    best: Snippet | None = None
-    best_score = -1.0
-    for snip in make_snippets(document):
-        cols = list(snip.word_ids)
-        score = float(np.mean(np.max(sims[:, cols], axis=1)))
-        if score > best_score:
-            best, best_score = snip, score
-    assert best is not None
+    starts = np.array([ln.start_word for ln in document.lines], dtype=np.intp)
+    per_line = segment_maxima(build_index([document]), query, starts)  # lines x J
+    # a two-line snippet's maxima are those of its lines combined
+    per_snippet = np.maximum(per_line[:-1], per_line[1:]) if len(per_line) > 1 else per_line
+    scores = per_snippet.mean(axis=1)
+    best = int(np.argmax(scores))
+    end = best + 1 if len(per_line) > 1 else best
     return AnswerPrediction(
         doc_id=document.doc_id,
-        start_line=best.start_line,
-        end_line=best.end_line,
-        confidence=best_score,
+        start_line=best,
+        end_line=end,
+        confidence=float(scores[best]),
     )

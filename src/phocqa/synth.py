@@ -21,8 +21,8 @@ from .corpus import (
     Question,
     Word,
     preprocess_query,
+    shared_encoder,
 )
-from .phoc import phoc_encode
 from .stopwords import NORMALIZED_STOPWORDS
 
 _LETTERS = np.array(list(string.ascii_lowercase))
@@ -116,6 +116,7 @@ def generate(spec: GeneratorSpec) -> tuple[Collection, list[Question]]:
             words[start + offset] = marker
         questions_raw.append((f"q_{qi:04d}", markers, gold_id, (start, start + m - 1)))
 
+    encode = shared_encoder()
     documents = {}
     for did in doc_ids:
         word_line = {}
@@ -125,7 +126,7 @@ def generate(spec: GeneratorSpec) -> tuple[Collection, list[Question]]:
             for wi in range(s, e + 1):
                 word_line[wi] = li
         words = tuple(
-            Word(wi, word_line[wi], text, phoc_encode(text))
+            Word(wi, word_line[wi], text, encode(text))
             for wi, text in enumerate(grids[did])
         )
         documents[did] = Document(did, words, tuple(lines))

@@ -1,9 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from phocqa.corpus import (
+    Collection,
+    corrupt_collection,
     corrupt_phoc,
     load_collection,
     load_questions,
@@ -76,6 +79,24 @@ class TestLoadCollection:
         data["documents"][1]["words"][0]["line_index"] = 7
         with pytest.raises(ValueError, match="line_index"):
             load_collection(write_json(tmp_path, data))
+
+    def test_line_indices_must_be_consecutive(self, tmp_path):
+        # lines 0 and 5 partition the words, but no line 1 exists
+        data = json.loads(json.dumps(VALID))
+        data["documents"][0]["lines"][1]["line_index"] = 5
+        data["documents"][0]["words"][2]["line_index"] = 5
+        with pytest.raises(ValueError, match=r"'a': line_index 5 at position 1"):
+            load_collection(write_json(tmp_path, data))
+
+    def test_one_read_only_phoc_per_word_type(self, tmp_path):
+        data = json.loads(json.dumps(VALID))
+        data["documents"][1]["words"][0]["text"] = "Dear"
+        c = load_collection(write_json(tmp_path, data))
+        shared = c["a"].words[0].phoc
+        assert c["b"].words[0].phoc is shared
+        assert c["a"].words[1].phoc is not shared
+        assert not shared.flags.writeable
+        np.testing.assert_array_equal(shared, phoc_encode("dear"))
 
     def test_malformed_json(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -156,6 +177,33 @@ class TestCorruptPhoc:
     def test_rejects_non_binary(self, rng):
         with pytest.raises(ValueError):
             corrupt_phoc(np.full(PHOC_DIM, 0.5), 0.1, rng)
+
+
+class TestCorruptCollection:
+    def test_matches_per_word_corrupt_phoc(self):
+        collection, _ = generate(GeneratorSpec(num_documents=6, num_questions=3, vocab_size=60, seed=5))
+        for rate in (0.05, 0.2, 0.5):
+            noisy = corrupt_collection(collection, rate, np.random.default_rng(31))
+            rng = np.random.default_rng(31)
+            for doc in collection.ordered():
+                for w, n in zip(doc.words, noisy[doc.doc_id].words):
+                    np.testing.assert_array_equal(n.phoc, corrupt_phoc(w.phoc, rate, rng))
+                    assert n.transcription == w.transcription
+
+    def test_zero_rate_returns_input(self, rng):
+        c = make_collection({"d": [["one"]]})
+        assert corrupt_collection(c, 0.0, rng) is c
+
+    def test_rejects_bad_rate(self, rng):
+        with pytest.raises(ValueError, match="flip_rate"):
+            corrupt_collection(make_collection({"d": [["one"]]}), 1.5, rng)
+
+    def test_rejects_non_binary_naming_document(self, rng):
+        c = make_collection({"d": [["one"]]})
+        doc = c["d"]
+        bad = Collection({"d": replace(doc, words=(replace(doc.words[0], phoc=np.full(PHOC_DIM, 0.5)),))})
+        with pytest.raises(ValueError, match="'d'"):
+            corrupt_collection(bad, 0.1, rng)
 
 
 def test_collection_helpers():

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phocqa.phoc import phoc_encode
+from phocqa.corpus import Collection, Document, corrupt_collection
+from phocqa.phoc import PHOC_DIM, phoc_encode
 from phocqa.retriever import doc_score, rank_collection
+from phocqa.synth import GeneratorSpec, generate
 
 from conftest import make_collection, make_document, random_word
 from oracles import doc_score_reference
@@ -102,6 +106,41 @@ class TestRankCollection:
         c = make_collection({"a": [["x"]]})
         with pytest.raises(ValueError):
             rank_collection(c, [phoc_encode("x")], k=0)
+
+    @pytest.mark.parametrize("flip_rate", [0.0, 0.05, 0.2, 0.5])
+    @pytest.mark.parametrize("query_len", [1, 7, 8, 9, 12])
+    def test_equals_sorted_doc_scores(self, flip_rate, query_len):
+        # 8 or more query rows take numpy's pairwise summation in the mean
+        base, _ = generate(GeneratorSpec(num_documents=40, num_questions=5, vocab_size=200, seed=query_len))
+        c = corrupt_collection(base, flip_rate, np.random.default_rng(query_len))
+        words = sorted({w.transcription for doc in base.ordered() for w in doc.words})
+        rng = np.random.default_rng(int(flip_rate * 100))
+        query = [phoc_encode(words[i]) for i in rng.integers(0, len(words), query_len)]
+        results = rank_collection(c, query, k=len(c))
+        oracle = sorted(((did, doc_score(c[did], query)) for did in c.documents), key=lambda t: (-t[1], t[0]))
+        assert [(r.doc_id, r.score) for r in results] == oracle
+
+    def test_empty_document_named(self):
+        c = make_collection({"a": [["x"]]})
+        c.documents["b"] = Document("b", (), ())
+        with pytest.raises(ValueError, match="'b' is empty"):
+            rank_collection(c, [phoc_encode("x")], k=1)
+
+    def test_non_binary_vector_named(self):
+        c = make_collection({"a": [["x"]], "b": [["y", "z"]]})
+        doc = c["b"]
+        words = (doc.words[0], replace(doc.words[1], phoc=np.full(PHOC_DIM, 0.5)))
+        bad = Collection({"a": c["a"], "b": replace(doc, words=words)})
+        with pytest.raises(ValueError, match="'b'"):
+            rank_collection(bad, [phoc_encode("x")], k=1)
+
+    def test_empty_collection(self):
+        with pytest.raises(ValueError, match="empty collection"):
+            rank_collection(Collection({}), [phoc_encode("x")], k=1)
+
+    def test_empty_query(self):
+        with pytest.raises(ValueError, match="empty query"):
+            rank_collection(make_collection({"a": [["x"]]}), [], k=1)
 
     def test_determinism(self, rng):
         docs = {f"d{i}": [[random_word(rng, 1, 5) for _ in range(5)]] for i in range(10)}
