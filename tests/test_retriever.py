@@ -26,6 +26,11 @@ class TestDocScore:
         doc = make_document("d", [["the", "panopticon", "plan"]])
         assert doc_score(doc, [phoc_encode("panopticon")]) == pytest.approx(1.0)
 
+    def test_self_match_scores_exactly_one(self, rng):
+        for _ in range(3000):
+            w = random_word(rng, 1, 12)
+            assert doc_score(make_document("d", [[w]]), [phoc_encode(w)]) == 1.0, w
+
     def test_orthogonal_scores_zero(self):
         doc = make_document("d", [["aa", "aaa"]])
         assert doc_score(doc, [phoc_encode("bb")]) == 0.0
