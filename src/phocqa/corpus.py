@@ -76,7 +76,8 @@ class Collection:
 
     @cached_property
     def index(self) -> PackedIndex:
-        """The packed index over ordered(), built on first use."""
+        """The packed index over ordered(), built on first use; the
+        documents must not change after that."""
         return build_index(self.ordered())
 
 

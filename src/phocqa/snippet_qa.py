@@ -50,14 +50,14 @@ def answer_attention(document: Document, query: list[np.ndarray]) -> AnswerPredi
     """Return the best-scoring snippet; ties go to the earlier start line."""
     starts = np.array([ln.start_word for ln in document.lines], dtype=np.intp)
     per_line = segment_maxima(build_index([document]), query, starts)  # lines x J
+    two_lines = len(per_line) > 1
     # a two-line snippet's maxima are those of its lines combined
-    per_snippet = np.maximum(per_line[:-1], per_line[1:]) if len(per_line) > 1 else per_line
+    per_snippet = np.maximum(per_line[:-1], per_line[1:]) if two_lines else per_line
     scores = per_snippet.mean(axis=1)
     best = int(np.argmax(scores))
-    end = best + 1 if len(per_line) > 1 else best
     return AnswerPrediction(
         doc_id=document.doc_id,
         start_line=best,
-        end_line=end,
+        end_line=best + int(two_lines),
         confidence=float(scores[best]),
     )
