@@ -13,10 +13,11 @@ per-document offsets.  The packing format is defined here and nowhere else.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -63,7 +64,11 @@ class Document:
 
 @dataclass(frozen=True)
 class Collection:
-    documents: dict[str, Document] = field(default_factory=dict)
+    documents: Mapping[str, Document] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # read-only, so the cached index can never go stale
+        object.__setattr__(self, "documents", MappingProxyType(dict(self.documents)))
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -76,8 +81,7 @@ class Collection:
 
     @cached_property
     def index(self) -> PackedIndex:
-        """The packed index over ordered(), built on first use; the
-        documents must not change after that."""
+        """The packed index over ordered(), built on first use."""
         return build_index(self.ordered())
 
 
@@ -332,12 +336,15 @@ def preprocess_query(text: str) -> tuple[list[str], list[np.ndarray]]:
 
 
 def corrupt_phoc(v: np.ndarray, flip_rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Flip each bit of a binary PHOC independently with probability flip_rate."""
+    """Flip each bit of a binary PHOC, or of a matrix of PHOC rows,
+    independently with probability flip_rate."""
     if not 0.0 <= flip_rate <= 1.0:
         raise ValueError(f"flip_rate {flip_rate} outside [0, 1]")
+    if v.shape[-1:] != (PHOC_DIM,):
+        raise ValueError(f"PHOC vectors must have length {PHOC_DIM}")
     if not np.all((v == 0.0) | (v == 1.0)):
         raise ValueError("corrupt_phoc expects a binary vector")
-    flips = rng.random(PHOC_DIM) < flip_rate
+    flips = rng.random(v.shape) < flip_rate
     return np.abs(v - flips.astype(np.float64))
 
 
@@ -349,19 +356,16 @@ def corrupt_collection(collection: Collection, flip_rate: float, rng: np.random.
     """
     if flip_rate == 0.0:
         return collection
-    if not 0.0 <= flip_rate <= 1.0:
-        raise ValueError(f"flip_rate {flip_rate} outside [0, 1]")
     documents = {}
     for doc in collection.ordered():
         if not doc.words:
             raise ValueError(f"document {doc.doc_id!r} is empty")
-        # One draw per document takes the same PCG64 stream as one
-        # corrupt_phoc draw per word, so the result matches that loop.
-        clean = np.stack([w.phoc for w in doc.words])
-        if not np.all((clean == 0.0) | (clean == 1.0)):
-            raise ValueError(f"document {doc.doc_id!r}: corrupt_collection expects binary vectors")
-        flips = rng.random(clean.shape) < flip_rate
-        noisy = np.abs(clean - flips.astype(np.float64))
+        # One draw per document takes the same PCG64 stream as one draw per
+        # word, so the result matches corrupting word by word.
+        try:
+            noisy = corrupt_phoc(np.stack([w.phoc for w in doc.words]), flip_rate, rng)
+        except ValueError as e:
+            raise ValueError(f"document {doc.doc_id!r}: {e}") from e
         noisy.flags.writeable = False
         words = tuple(replace(w, phoc=row) for w, row in zip(doc.words, noisy))
         documents[doc.doc_id] = replace(doc, words=words)

@@ -206,6 +206,15 @@ class TestCorruptCollection:
             corrupt_collection(bad, 0.1, rng)
 
 
+def test_collection_documents_read_only():
+    docs = {"d": make_collection({"d": [["one"]]})["d"]}
+    c = Collection(docs)
+    docs["e"] = docs["d"]
+    assert list(c.documents) == ["d"]
+    with pytest.raises(TypeError):
+        c.documents["e"] = docs["d"]
+
+
 def test_collection_helpers():
     c = make_collection({"d": [["one", "two"], ["three"]]})
     doc = c["d"]

@@ -126,8 +126,7 @@ class TestRankCollection:
         assert [(r.doc_id, r.score) for r in results] == oracle
 
     def test_empty_document_named(self):
-        c = make_collection({"a": [["x"]]})
-        c.documents["b"] = Document("b", (), ())
+        c = Collection({"a": make_document("a", [["x"]]), "b": Document("b", (), ())})
         with pytest.raises(ValueError, match="'b' is empty"):
             rank_collection(c, [phoc_encode("x")], k=1)
 
