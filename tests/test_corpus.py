@@ -188,7 +188,9 @@ class TestCorruptCollection:
             for doc in collection.ordered():
                 for w, n in zip(doc.words, noisy[doc.doc_id].words):
                     np.testing.assert_array_equal(n.phoc, corrupt_phoc(w.phoc, rate, rng))
-                    assert n.transcription == w.transcription
+                    assert (n.word_index, n.line_index, n.transcription, n.bbox) == (
+                        w.word_index, w.line_index, w.transcription, w.bbox
+                    )
 
     def test_zero_rate_returns_input(self, rng):
         c = make_collection({"d": [["one"]]})
