@@ -37,9 +37,9 @@ def segment_maxima(index: PackedIndex, query: list[np.ndarray], starts: np.ndarr
     qrows, qcounts = pack_phocs(query)
     # The dots are exact integers whatever the word order, which keeps the
     # scores bit-identical under word permutation.  One square root of the
-    # integer product of the bit counts, n / sqrt(n * n), makes an exact
-    # match 1.0, which n / (sqrt(n) * sqrt(n)) is not for every n; a zero
-    # count has a zero dot, and its cosine stays 0.
+    # integer product of the bit counts scores an exact match exactly 1.0
+    # (sqrt(n) * sqrt(n) differs from n for 251 of the 504 possible n).  A
+    # zero count has a zero dot, so its cosine stays 0.
     dots = np.stack([np.bitwise_count(index.types & q).sum(axis=1) for q in qrows], axis=1)
     sims = dots / np.sqrt(np.maximum(np.outer(index.counts, qcounts), 1))  # (V, J)
     return np.maximum.reduceat(sims[index.token_type], starts, axis=0)
