@@ -81,7 +81,9 @@ class Collection:
 
     @cached_property
     def index(self) -> PackedIndex:
-        """The packed index over ordered(), built on first use."""
+        """The packed index over ordered(), built on first use.
+        load_collection and corrupt_collection build it before they return,
+        so no query pays for it."""
         return build_index(self.ordered())
 
 
@@ -132,31 +134,39 @@ def build_index(documents: Sequence[Document]) -> PackedIndex:
     """Pack the word vectors of `documents`, in order, into one index.
 
     Types are deduplicated by content, so tokens that share a transcription
-    share a row and so do equal vectors on a corrupted collection.  Rows are
-    stacked PACK_BLOCK at a time, never all at once.  An empty document or a
-    vector that is not binary raises ValueError naming the document.
+    share a row and so do equal vectors on a corrupted collection.  Tokens
+    that hold the same vector object (load_collection's shared PHOCs) are
+    packed once.  Vectors are stacked PACK_BLOCK at a time, never all at
+    once.  An empty document or a vector that is not binary raises
+    ValueError naming the document.
     """
     for doc in documents:
         if not doc.words:
             raise ValueError(f"document {doc.doc_id!r} is empty")
     offsets = np.cumsum([0] + [len(doc.words) for doc in documents], dtype=np.intp)[:-1]
     words = [w for doc in documents for w in doc.words]
-    packed = np.empty((len(words), PACKED_WORDS), dtype=np.uint64)
-    for start in range(0, len(words), PACK_BLOCK):
-        block = np.array([w.phoc for w in words[start : start + PACK_BLOCK]], dtype=np.float64)
+    # One row per vector object, in the order the objects are first seen.
+    ids = np.fromiter((id(w.phoc) for w in words), dtype=np.uint64, count=len(words))
+    _, first, token_object = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    token_row = np.argsort(order)[token_object]
+    vectors = [words[t].phoc for t in first[order]]
+    packed = np.empty((len(vectors), PACKED_WORDS), dtype=np.uint64)
+    for start in range(0, len(vectors), PACK_BLOCK):
+        block = np.array(vectors[start : start + PACK_BLOCK], dtype=np.float64)
         packed[start : start + len(block)], bad = _pack_rows(block)
         if bad is not None:
-            doc = documents[int(np.searchsorted(offsets, start + bad, side="right")) - 1]
-            word = words[start + bad].word_index
-            raise ValueError(f"document {doc.doc_id!r}: PHOC of word {word} is not binary")
+            token = int(np.argmax(token_row == start + bad))  # first token holding the row
+            doc = documents[int(np.searchsorted(offsets, token, side="right")) - 1]
+            raise ValueError(f"document {doc.doc_id!r}: PHOC of word {words[token].word_index} is not binary")
     # Rows viewed as opaque 64-byte records: np.unique sorts these far faster
     # than it sorts rows with axis=0.
-    records, token_type = np.unique(packed.view(_ROW_RECORD).ravel(), return_inverse=True)
+    records, row_type = np.unique(packed.view(_ROW_RECORD).ravel(), return_inverse=True)
     types = records.view(np.uint64).reshape(-1, PACKED_WORDS)
     return PackedIndex(
         types=types,
         counts=np.bitwise_count(types).sum(axis=1),
-        token_type=token_type,
+        token_type=row_type[token_row],
         offsets=offsets,
         doc_ids=tuple(doc.doc_id for doc in documents),
     )
@@ -245,7 +255,9 @@ def load_collection(path: str | Path) -> Collection:
         if doc.doc_id in documents:
             raise ValueError(f"duplicate doc_id {doc.doc_id!r}")
         documents[doc.doc_id] = doc
-    return Collection(documents)
+    collection = Collection(documents)
+    collection.index  # built while loading, not by the first query
+    return collection
 
 
 def write_collection(collection: Collection, path: str | Path) -> None:
@@ -373,4 +385,6 @@ def corrupt_collection(collection: Collection, flip_rate: float, rng: np.random.
             Word(w.word_index, w.line_index, w.transcription, row, w.bbox) for w, row in zip(doc.words, noisy)
         )
         documents[doc.doc_id] = replace(doc, words=words)
-    return Collection(documents)
+    noisy = Collection(documents)
+    noisy.index  # built while corrupting, not by the first query
+    return noisy

@@ -217,6 +217,24 @@ def test_collection_documents_read_only():
         c.documents["e"] = docs["d"]
 
 
+def test_loaders_build_the_index(tmp_path, rng):
+    c = load_collection(write_json(tmp_path, VALID))
+    assert "index" in vars(c)
+    assert "index" in vars(corrupt_collection(c, 0.1, rng))
+
+
+def test_index_of_shared_vectors_equals_index_of_copies():
+    shared, _ = generate(GeneratorSpec(num_documents=6, num_questions=3, vocab_size=60, seed=5))
+    copies = Collection({
+        d.doc_id: replace(d, words=tuple(replace(w, phoc=w.phoc.copy()) for w in d.words))
+        for d in shared.ordered()
+    })
+    a, b = shared.index, copies.index
+    assert len(a.types) < len(a.token_type)
+    for field_a, field_b in zip(vars(a).values(), vars(b).values()):
+        np.testing.assert_array_equal(field_a, field_b)
+
+
 def test_collection_helpers():
     c = make_collection({"d": [["one", "two"], ["three"]]})
     doc = c["d"]
