@@ -2,7 +2,7 @@
 embeddings: attention-based ranking, snippet scoring, and trainable BiDAF
 span prediction with a Double Inclusion Score evaluation harness."""
 
-from .phoc import PHOC_DIM, normalize_token, phoc_cosine, phoc_encode
+from .phoc import PHOC_DIM, normalize_token, phoc_encode
 from .corpus import (
     Collection,
     Document,
@@ -25,7 +25,6 @@ __all__ = [
     "PHOC_DIM",
     "normalize_token",
     "phoc_encode",
-    "phoc_cosine",
     "Collection",
     "Document",
     "Line",

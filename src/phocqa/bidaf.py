@@ -19,8 +19,6 @@ import numpy as np
 from .corpus import Document, Question
 from .neural import (
     AdadeltaState,
-    BlstmParams,
-    LstmParams,
     Tensor,
     adadelta_step,
     add,
@@ -33,7 +31,6 @@ from .neural import (
     init_blstm,
     matmul,
     softmax,
-    stack,
     uniform_param,
     zero_grads,
 )
@@ -119,15 +116,6 @@ class BidafModel:
         return params
 
 
-def _context_inputs(document: Document, config: BidafConfig) -> list[Tensor]:
-    if config.mode == "line":
-        return [
-            Tensor(np.concatenate([w.phoc, line_positional_encoding(w.line_index, config.pos_dim)]))
-            for w in document.words
-        ]
-    return [Tensor(w.phoc) for w in document.words]
-
-
 def _line_aggregation_matrix(document: Document) -> np.ndarray:
     agg = np.zeros((document.num_lines, len(document.words)))
     for ln in document.lines:
@@ -153,7 +141,11 @@ def forward(
     def drop(x: Tensor) -> Tensor:
         return dropout(x, cfg.dropout_rate, rng, training)
 
-    ctx_in = drop(Tensor(np.stack([x.values for x in _context_inputs(document, cfg)])))
+    ctx = np.stack([w.phoc for w in document.words])
+    if cfg.mode == "line":
+        pe = [line_positional_encoding(w.line_index, cfg.pos_dim) for w in document.words]
+        ctx = np.concatenate([ctx, np.stack(pe)], axis=1)
+    ctx_in = drop(Tensor(ctx))
     q_in = drop(Tensor(np.stack(question)))
     H = blstm_matrix(ctx_in, model.ctx_enc)  # T x 2h
     U = blstm_matrix(q_in, model.q_enc)  # J x 2h
@@ -231,17 +223,13 @@ def train(
     examples: list[tuple[Document, Question]],
     epochs: int,
     seed: int,
-    query_phocs: dict[str, list[np.ndarray]] | None = None,
 ) -> list[float]:
     """Batch-size-1 training: one ADADELTA step per example, shuffled per
     epoch; returns the mean loss per epoch.  Deterministic given seed."""
     from .corpus import preprocess_query
 
     mode = model.config.mode
-    prepared = []
-    for doc, q in examples:
-        phocs = query_phocs[q.question_id] if query_phocs else preprocess_query(q.text)[1]
-        prepared.append((doc, phocs, _gold_span(q, doc, mode)))
+    prepared = [(doc, preprocess_query(q.text)[1], _gold_span(q, doc, mode)) for doc, q in examples]
 
     params = model.parameters()
     rng = np.random.default_rng(seed)
@@ -309,24 +297,32 @@ def save_checkpoint(model: BidafModel, path) -> None:
 
 
 def load_checkpoint(path) -> BidafModel:
+    """Load a model saved by save_checkpoint.  The archive must hold exactly
+    the parameters of the model its config builds, each with its shape, and
+    optimizer averages only for those parameters; anything else raises
+    ValueError naming the key."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
         if meta.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"unsupported checkpoint format: {meta.get('format')!r}")
         model = BidafModel(BidafConfig(**meta["config"]), seed=0)
         params = model.parameters()
+        for name in params:
+            if f"p:{name}" not in data.files:
+                raise ValueError(f"checkpoint lacks parameter key 'p:{name}'")
         for key in data.files:
-            if key.startswith("p:"):
-                name = key[2:]
-                if name not in params:
-                    raise ValueError(f"unknown parameter {name!r} in checkpoint")
-                if params[name].values.shape != data[key].shape:
-                    raise ValueError(f"shape mismatch for parameter {name!r}")
-                params[name].values = data[key].astype(np.float64)
-            elif key.startswith("eg2:"):
-                model.optimizer.eg2[key[4:]] = data[key].astype(np.float64)
-            elif key.startswith("edx2:"):
-                model.optimizer.edx2[key[5:]] = data[key].astype(np.float64)
+            if key == "__meta__":
+                continue
+            kind, _, name = key.partition(":")
+            if kind not in ("p", "eg2", "edx2") or name not in params:
+                raise ValueError(f"unknown key {key!r} in checkpoint")
+            values = data[key].astype(np.float64)
+            if values.shape != params[name].values.shape:
+                raise ValueError(f"shape mismatch for checkpoint key {key!r}")
+            if kind == "p":
+                params[name].values = values
+            else:
+                getattr(model.optimizer, kind)[name] = values
         opt = meta.get("optimizer", {})
         model.optimizer.lr = opt.get("lr", model.optimizer.lr)
         model.optimizer.rho = opt.get("rho", model.optimizer.rho)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,23 +30,6 @@ from .snippet_qa import answer_attention
 from .synth import GeneratorSpec, generate
 
 BACKENDS = ("attention", "bidaf-line", "bidaf-word")
-
-
-@dataclass
-class RunConfig:
-    collection: str
-    questions: str | None = None
-    checkpoint: str | None = None
-    report: str | None = None
-    k: int = 5
-    flip_rate: float = 0.0
-    seed: int = 42
-    backend: str = "attention"
-    epochs: int = 50
-    learning_rate: float = 0.5
-    hidden: int = 100
-    dropout: float = 0.2
-    mode: str = "line"
 
 
 def _load_corrupted(path: str, flip_rate: float, seed: int) -> Collection:

@@ -1,7 +1,11 @@
 """Minimal trainable numeric kernel: tape-based reverse-mode autodiff over
 numpy arrays, with exactly the operations the span-prediction network needs
-(dense, LSTM/BLSTM, softmax, cross-entropy, dropout, context-to-query
+(matmul, add, softmax, cross-entropy, dropout, BLSTM, context-to-query
 attention) plus the ADADELTA update and a finite-difference gradient checker.
+
+Each LSTM direction is one tape node (lstm_sequence) whose backward pass is
+hand-written backpropagation through time, so a BLSTM adds the same few
+nodes to the tape whatever the sequence length.
 
 Everything runs in double precision; determinism requires single-threaded
 use and explicit seeded Generators for dropout and initialization.
@@ -46,34 +50,8 @@ class Tensor:
         else:
             self.grad += g
 
-    # operator sugar
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return add(self, mul(_as_tensor(other), _as_tensor(-1.0)))
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
     def __getitem__(self, idx):
         return getitem(self, idx)
-
-    def backward(self) -> None:
-        backward(self)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -195,78 +173,16 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
-def stack(tensors: list[Tensor]) -> Tensor:
-    out = Tensor(np.stack([t.values for t in tensors]), tuple(tensors))
-
-    def bw(g):
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t._accum(g[i])
-
-    out._backward = bw
-    return out
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-a.values))
-    out = Tensor(s, (a,))
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(g * s * (1.0 - s))
-
-    out._backward = bw
-    return out
-
-
-def tanh(a: Tensor) -> Tensor:
-    t = np.tanh(a.values)
-    out = Tensor(t, (a,))
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(g * (1.0 - t * t))
-
-    out._backward = bw
-    return out
-
-
-def tsum(a: Tensor) -> Tensor:
-    out = Tensor(a.values.sum(), (a,))
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(np.full_like(a.values, float(g)))
-
-    out._backward = bw
-    return out
-
-
 def softmax(logits: Tensor) -> Tensor:
-    """Numerically stable softmax over a 1D logit vector."""
-    z = logits.values - logits.values.max()
+    """Numerically stable softmax over the last axis."""
+    z = logits.values - logits.values.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    p = e / e.sum()
+    p = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(p, (logits,))
 
     def bw(g):
         if logits.requires_grad:
-            logits._accum(p * (g - np.dot(g, p)))
-
-    out._backward = bw
-    return out
-
-
-def softmax_rows(logits: Tensor) -> Tensor:
-    """Row-wise softmax over a 2D tensor."""
-    z = logits.values - logits.values.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(p, (logits,))
-
-    def bw(g):
-        if logits.requires_grad:
-            logits._accum(p * (g - np.sum(g * p, axis=1, keepdims=True)))
+            logits._accum(p * (g - np.sum(g * p, axis=-1, keepdims=True)))
 
     out._backward = bw
     return out
@@ -297,10 +213,6 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
         return x
     mask = (rng.random(x.values.shape) >= rate) / (1.0 - rate)
     return mul(x, Tensor(mask))
-
-
-def dense_forward(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
-    return add(matmul(W, x), b)
 
 
 def backward(loss: Tensor) -> None:
@@ -354,18 +266,6 @@ def uniform_param(shape, fan_in: int, rng: np.random.Generator) -> Tensor:
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
 
-def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, params: LstmParams) -> tuple[Tensor, Tensor]:
-    H = params.hidden
-    z = add(matmul(params.W, concat([x, h_prev])), params.b)
-    i = sigmoid(z[0:H])
-    f = sigmoid(z[H : 2 * H])
-    o = sigmoid(z[2 * H : 3 * H])
-    g = tanh(z[3 * H : 4 * H])
-    c = add(mul(f, c_prev), mul(i, g))
-    h = mul(o, tanh(c))
-    return h, c
-
-
 @dataclass
 class BlstmParams:
     fwd: LstmParams
@@ -376,61 +276,90 @@ def init_blstm(input_dim: int, hidden: int, rng: np.random.Generator) -> BlstmPa
     return BlstmParams(init_lstm(input_dim, hidden, rng), init_lstm(input_dim, hidden, rng))
 
 
-def _lstm_run_matrix(X: Tensor, params: LstmParams, reverse: bool = False) -> list[Tensor]:
-    """Unidirectional pass over the rows of X (T x D).
+def lstm_sequence(X: Tensor, params: LstmParams, reverse: bool = False) -> Tensor:
+    """One LSTM direction over the rows of X (T x D), as a single tape node.
 
-    The input-side product for all timesteps is batched into one matmul;
-    only the recurrent product stays sequential.
+    Returns the (T, hidden) hidden states; row t is the state after reading
+    row t, whichever way the rows are read.  The input-side product for all
+    timesteps is one matmul; only the recurrent product is sequential.  The
+    forward pass caches the gate activations and the states each step reads,
+    and the backward pass runs backpropagation through time over them.
     """
+    W, b = params.W, params.b
     T, D = X.shape
     H = params.hidden
-    Wx = params.W[:, :D]
-    Wh = params.W[:, D:]
-    Zx = matmul(X, transpose(Wx))  # T x 4H
-    h = Tensor(np.zeros(H))
-    c = Tensor(np.zeros(H))
-    outputs: list[Tensor | None] = [None] * T
+    Wx = W.values[:, :D]
+    Wh = W.values[:, D:]
+    Zx = X.values @ Wx.T  # T x 4H
+    gates = np.empty((T, 4 * H))  # activations of i, f, o, g
+    tanh_c = np.empty((T, H))
+    h_prev = np.empty((T, H))
+    c_prev = np.empty((T, H))
+    out = np.empty((T, H))
+    h = np.zeros(H)
+    c = np.zeros(H)
     order = range(T - 1, -1, -1) if reverse else range(T)
     for t in order:
-        z = add(add(Zx[t], matmul(Wh, h)), params.b)
-        i = sigmoid(z[0:H])
-        f = sigmoid(z[H : 2 * H])
-        o = sigmoid(z[2 * H : 3 * H])
-        g = tanh(z[3 * H : 4 * H])
-        c = add(mul(f, c), mul(i, g))
-        h = mul(o, tanh(c))
-        outputs[t] = h
-    return outputs  # type: ignore[return-value]
+        h_prev[t] = h
+        c_prev[t] = c
+        z = Zx[t] + Wh @ h
+        z += b.values
+        a = gates[t]
+        a[: 3 * H] = 1.0 / (1.0 + np.exp(-z[: 3 * H]))
+        a[3 * H :] = np.tanh(z[3 * H :])
+        c = a[H : 2 * H] * c + a[:H] * a[3 * H :]
+        np.tanh(c, out=tanh_c[t])
+        h = out[t] = a[2 * H : 3 * H] * tanh_c[t]
+
+    def bw(g_out):
+        i, f, o, g = (gates[:, k * H : (k + 1) * H] for k in range(4))
+        # dz/dc for the i, f and g gates and dz/dh for the o gate, per step;
+        # none of them depends on the recurrence.
+        dz_per = np.empty((T, 4, H))
+        dz_per[:, 0] = g * i * (1.0 - i)
+        dz_per[:, 1] = c_prev * f * (1.0 - f)
+        dz_per[:, 2] = tanh_c * o * (1.0 - o)
+        dz_per[:, 3] = i * (1.0 - g * g)
+        dc_dh = o * (1.0 - tanh_c * tanh_c)
+        dZ = np.empty((T, 4, H))
+        dh_next = np.zeros(H)
+        dc_next = np.zeros(H)
+        for t in reversed(order):
+            dh = g_out[t] + dh_next
+            dc = dh * dc_dh[t] + dc_next
+            np.multiply(dz_per[t], dc, out=dZ[t])
+            np.multiply(dz_per[t, 2], dh, out=dZ[t, 2])
+            dc_next = dc * f[t]
+            dh_next = dZ[t].reshape(-1) @ Wh
+        dZ = dZ.reshape(T, 4 * H)
+        if X.requires_grad:
+            X._accum(dZ @ Wx)
+        if W.requires_grad:
+            W._accum(np.concatenate([dZ.T @ X.values, dZ.T @ h_prev], axis=1))
+        if b.requires_grad:
+            b._accum(dZ.sum(axis=0))
+
+    return Tensor(out, (X, W, b), bw)
 
 
 def blstm_matrix(X: Tensor, params: BlstmParams) -> Tensor:
     """BLSTM over the rows of X; returns a (T, 2*hidden) tensor."""
-    fwd = _lstm_run_matrix(X, params.fwd)
-    bwd = _lstm_run_matrix(X, params.bwd, reverse=True)
-    return concat([stack(fwd), stack(bwd)], axis=1)
-
-
-def blstm_forward(seq: list[Tensor], params: BlstmParams) -> list[Tensor]:
-    """Per timestep concat of the forward pass and the reversed backward pass;
-    output width is 2x hidden."""
-    M = blstm_matrix(stack(seq), params)
-    return [M[t] for t in range(len(seq))]
+    return concat([lstm_sequence(X, params.fwd), lstm_sequence(X, params.bwd, reverse=True)], axis=1)
 
 
 # ---------------------------------------------------------------------------
 # Context-to-query attention
 
 
-def c2q_attention(context, question, ws: Tensor) -> Tensor:
-    """Attend each context vector over the question vectors.
+def c2q_attention(context: Tensor, question: Tensor, ws: Tensor) -> Tensor:
+    """Attend each context row over the question rows.
 
     Scores are s_tj = ws . [h_t; u_j; h_t*u_j] with a single trainable
     weight vector; each context position gets the softmax-weighted sum of
-    the question vectors.  Accepts 2D tensors or lists of 1D tensors and
-    returns a (T, d) tensor.
+    the question vectors.  Takes (T, d) and (J, d) tensors and returns a
+    (T, d) tensor.
     """
-    H = stack(context) if isinstance(context, list) else context
-    U = stack(question) if isinstance(question, list) else question
+    H, U = context, question
     T, d = H.shape
     J = U.shape[0]
     w_h, w_u, w_hu = ws[0:d], ws[d : 2 * d], ws[2 * d : 3 * d]
@@ -439,7 +368,7 @@ def c2q_attention(context, question, ws: Tensor) -> Tensor:
         add(reshape(matmul(H, w_h), (T, 1)), reshape(matmul(U, w_u), (1, J))),
         matmul(mul(H, w_hu), transpose(U)),
     )
-    return matmul(softmax_rows(scores), U)
+    return matmul(softmax(scores), U)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
-"""Pyramidal Histogram of Characters (PHOC) encoding and similarity.
+"""Pyramidal Histogram of Characters (PHOC) encoding.
 
 Words are embedded as 504-dimensional attribute vectors over the alphabet
 a-z0-9 at pyramid levels 2, 3, 4 and 5.  Text strings and (simulated)
 word-image predictions share this space, so similarity between a query
-token and a document word is just cosine similarity between their vectors.
+token and a document word is just cosine similarity between their vectors
+(computed on packed bits by retriever.segment_maxima).
 """
 
 from __future__ import annotations
@@ -53,13 +54,3 @@ def phoc_encode(word: str) -> np.ndarray:
                     v[_LEVEL_OFFSET[L] + r * len(ALPHABET) + ci] = 1.0
     return v
 
-
-def phoc_cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity; 0.0 when either vector has zero norm."""
-    if a.shape != (PHOC_DIM,) or b.shape != (PHOC_DIM,):
-        raise ValueError(f"expected vectors of length {PHOC_DIM}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))

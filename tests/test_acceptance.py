@@ -140,7 +140,7 @@ def test_gradient_verification():
         x = rng.standard_normal(4)
         assert (
             nn.finite_difference_check(
-                lambda: nn.cross_entropy(nn.softmax(nn.dense_forward(nn.Tensor(x), W, b)), 1),
+                lambda: nn.cross_entropy(nn.softmax(nn.add(nn.matmul(W, nn.Tensor(x)), b)), 1),
                 {"W": W, "b": b},
             )
             <= 1e-4
@@ -148,11 +148,11 @@ def test_gradient_verification():
 
         # blstm
         p = nn.init_blstm(3, 3, rng)
-        xs = [rng.standard_normal(3) for _ in range(4)]
+        xs = rng.standard_normal((4, 3))
         w = nn.Tensor(rng.standard_normal(6), requires_grad=True)
 
         def blstm_loss():
-            out = nn.stack(nn.blstm_forward([nn.Tensor(v) for v in xs], p))
+            out = nn.blstm_matrix(nn.Tensor(xs), p)
             return nn.cross_entropy(nn.softmax(nn.matmul(out, w)), 2)
 
         params = {"fW": p.fwd.W, "fb": p.fwd.b, "bW": p.bwd.W, "bb": p.bwd.b, "w": w}

@@ -253,3 +253,38 @@ class TestCheckpoint:
             np.savez(f, __meta__=meta)
         with pytest.raises(ValueError, match="format"):
             bidaf.load_checkpoint(path)
+
+    def _rewrite(self, path, edit):
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        edit(arrays)
+        with open(path, "wb") as f:
+            np.savez(f, **arrays)
+
+    def _saved(self, tiny_data, tmp_path):
+        collection, questions = tiny_data
+        model = BidafModel(BidafConfig(hidden=4, pos_dim=6, dropout_rate=0.0), seed=8)
+        bidaf.train(model, [(collection[questions[0].gold_doc_id], questions[0])], epochs=1, seed=8)
+        path = tmp_path / "model.ckpt"
+        bidaf.save_checkpoint(model, path)
+        return path
+
+    def test_rejects_missing_parameter(self, tiny_data, tmp_path):
+        path = self._saved(tiny_data, tmp_path)
+        self._rewrite(path, lambda a: a.pop("p:w_start"))
+        with pytest.raises(ValueError, match="p:w_start"):
+            bidaf.load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["eg2:nowhere", "edx2:nowhere", "p:nowhere", "extra"])
+    def test_rejects_key_naming_no_parameter(self, tiny_data, tmp_path, key):
+        path = self._saved(tiny_data, tmp_path)
+        self._rewrite(path, lambda a: a.update({key: np.zeros(3)}))
+        with pytest.raises(ValueError, match=key):
+            bidaf.load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["p:b_end", "eg2:w_end"])
+    def test_rejects_wrong_shape(self, tiny_data, tmp_path, key):
+        path = self._saved(tiny_data, tmp_path)
+        self._rewrite(path, lambda a: a.update({key: np.zeros(3)}))
+        with pytest.raises(ValueError, match=key):
+            bidaf.load_checkpoint(path)
