@@ -12,7 +12,7 @@ logits at the predicted span.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -299,13 +299,23 @@ def save_checkpoint(model: BidafModel, path) -> None:
 def load_checkpoint(path) -> BidafModel:
     """Load a model saved by save_checkpoint.  The archive must hold exactly
     the parameters of the model its config builds, each with its shape, and
-    optimizer averages only for those parameters; anything else raises
-    ValueError naming the key."""
+    optimizer averages only for those parameters; anything else, a missing
+    '__meta__' key or a config field BidafConfig lacks raises ValueError
+    naming the key or field."""
     with np.load(path) as data:
+        if "__meta__" not in data.files:
+            raise ValueError("checkpoint lacks key '__meta__'")
         meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
         if meta.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"unsupported checkpoint format: {meta.get('format')!r}")
-        model = BidafModel(BidafConfig(**meta["config"]), seed=0)
+        config = meta.get("config")
+        if not isinstance(config, dict):
+            raise ValueError("checkpoint '__meta__' lacks a 'config' object")
+        known = {f.name for f in fields(BidafConfig)}
+        for name in config:
+            if name not in known:
+                raise ValueError(f"unknown config field {name!r} in checkpoint")
+        model = BidafModel(BidafConfig(**config), seed=0)
         params = model.parameters()
         for name in params:
             if f"p:{name}" not in data.files:

@@ -94,14 +94,19 @@ _ROW_RECORD = np.dtype((np.void, PACKED_WORDS * 8))
 
 @dataclass(frozen=True)
 class PackedIndex:
-    """Word vectors of a document sequence, each distinct vector once.
+    """Word vectors of a document sequence as packed types and a token-to-type
+    map; build_index holds each distinct vector once.
 
-    Bit i of a PHOC is bit i % 64 of word i // 64 of its packed row (words in
-    native byte order); the padding bits are clear, so AND plus popcount of
-    two rows is the dot product of the binary vectors.
+    Bit i of a PHOC is bit i % 64 of word i // 64 of its packed vector (words
+    in native byte order); the padding bits are clear, so AND plus popcount
+    of two packed vectors is the dot product of the binary vectors.
+
+    `types` is column-major: a C-contiguous (PACKED_WORDS, V) array whose
+    column v is type v, so scoring one query vector against every type is
+    PACKED_WORDS passes over contiguous V-length rows.
     """
 
-    types: np.ndarray  # (V, PACKED_WORDS) uint64, distinct packed vectors
+    types: np.ndarray  # (PACKED_WORDS, V) uint64, distinct packed vectors as columns
     counts: np.ndarray  # (V,) set bits of each type
     token_type: np.ndarray  # (N,) type of each token, documents concatenated
     offsets: np.ndarray  # (D,) first token of each document
@@ -123,7 +128,7 @@ def _pack_rows(matrix: np.ndarray) -> tuple[np.ndarray, int | None]:
 
 
 def pack_phocs(vectors: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Pack binary PHOC vectors; returns (rows, set-bit counts)."""
+    """Pack binary PHOC vectors; returns ((n, PACKED_WORDS) rows, set-bit counts)."""
     packed, bad = _pack_rows(np.array(vectors, dtype=np.float64))
     if bad is not None:
         raise ValueError(f"vector {bad} is not binary")
@@ -162,13 +167,35 @@ def build_index(documents: Sequence[Document]) -> PackedIndex:
     # Rows viewed as opaque 64-byte records: np.unique sorts these far faster
     # than it sorts rows with axis=0.
     records, row_type = np.unique(packed.view(_ROW_RECORD).ravel(), return_inverse=True)
-    types = records.view(np.uint64).reshape(-1, PACKED_WORDS)
+    types = np.ascontiguousarray(records.view(np.uint64).reshape(-1, PACKED_WORDS).T)
     return PackedIndex(
         types=types,
-        counts=np.bitwise_count(types).sum(axis=1),
+        counts=np.bitwise_count(types).sum(axis=0),
         token_type=row_type[token_row],
         offsets=offsets,
         doc_ids=tuple(doc.doc_id for doc in documents),
+    )
+
+
+def document_index(document: Document) -> PackedIndex:
+    """The packed index of one document with a type per token, in order.
+
+    Unlike build_index it does not deduplicate, which for a single document
+    costs more than the duplicates it would save.  An empty document or a
+    vector that is not binary raises ValueError naming the document.
+    """
+    if not document.words:
+        raise ValueError(f"document {document.doc_id!r} is empty")
+    rows, bad = _pack_rows(np.array([w.phoc for w in document.words], dtype=np.float64))
+    if bad is not None:
+        word = document.words[bad].word_index
+        raise ValueError(f"document {document.doc_id!r}: PHOC of word {word} is not binary")
+    return PackedIndex(
+        types=np.ascontiguousarray(rows.T),
+        counts=np.bitwise_count(rows).sum(axis=1),
+        token_type=np.arange(len(rows)),
+        offsets=np.zeros(1, dtype=np.intp),
+        doc_ids=(document.doc_id,),
     )
 
 

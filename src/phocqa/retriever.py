@@ -7,6 +7,11 @@ collection is scored in one vectorized pass over its packed index
 through AND and popcount, and the per-token similarities are reduced to
 per-document maxima.  Ties are broken by doc_id so the ordering is
 deterministic.
+
+The index stores its types column-major, as (PACKED_WORDS, V) uint64, so
+a query row's dots are PACKED_WORDS passes of AND, popcount and add over
+contiguous V-length rows.  They are summed in uint16: a dot can reach 504
+set bits, which uint8 would wrap.
 """
 
 from __future__ import annotations
@@ -37,12 +42,22 @@ def segment_maxima(index: PackedIndex, query: list[np.ndarray], starts: np.ndarr
     qrows, qcounts = pack_phocs(query)
     # The dots are exact integers whatever the word order, which keeps the
     # scores bit-identical under word permutation.  One square root of the
-    # integer product of the bit counts scores an exact match exactly 1.0
-    # (sqrt(n) * sqrt(n) differs from n for 251 of the 504 possible n).  A
-    # zero count has a zero dot, so its cosine stays 0.
-    dots = np.stack([np.bitwise_count(index.types & q).sum(axis=1) for q in qrows], axis=1)
-    sims = dots / np.sqrt(np.maximum(np.outer(index.counts, qcounts), 1))  # (V, J)
-    return np.maximum.reduceat(sims[index.token_type], starts, axis=0)
+    # product of the bit counts, exact in float64 since it is at most 504²,
+    # scores an exact match exactly 1.0 (sqrt(n) * sqrt(n) differs from n for
+    # 251 of the 504 possible n).  A zero count has a zero dot, so its cosine
+    # stays 0.
+    masked = np.empty_like(index.types)  # reused by every query row
+    dots = np.empty((len(qrows), index.types.shape[1]), dtype=np.uint16)  # (J, V)
+    for q, row in zip(qrows, dots):
+        np.bitwise_and(index.types, q[:, None], out=masked)
+        np.bitwise_count(masked).sum(axis=0, dtype=np.uint16, out=row)
+    # (J, V), not (V, J): every pass below then runs over V-length rows
+    sims = np.multiply.outer(qcounts, index.counts, dtype=np.float64)
+    np.maximum(sims, 1.0, out=sims)
+    np.sqrt(sims, out=sims)
+    np.divide(dots, sims, out=sims)
+    maxima = np.maximum.reduceat(np.take(sims, index.token_type, axis=1), starts, axis=1)  # (J, S)
+    return np.ascontiguousarray(maxima.T)
 
 
 def doc_score(document: Document, query: list[np.ndarray]) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Document, build_index
+from .corpus import Document, document_index
 from .retriever import segment_maxima
 
 
@@ -49,7 +49,7 @@ def make_snippets(document: Document) -> list[Snippet]:
 def answer_attention(document: Document, query: list[np.ndarray]) -> AnswerPrediction:
     """Return the best-scoring snippet; ties go to the earlier start line."""
     starts = np.array([ln.start_word for ln in document.lines], dtype=np.intp)
-    per_line = segment_maxima(build_index([document]), query, starts)  # lines x J
+    per_line = segment_maxima(document_index(document), query, starts)  # lines x J
     two_lines = len(per_line) > 1
     # a two-line snippet's maxima are those of its lines combined
     per_snippet = np.maximum(per_line[:-1], per_line[1:]) if two_lines else per_line

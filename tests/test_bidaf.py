@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -287,4 +289,27 @@ class TestCheckpoint:
         path = self._saved(tiny_data, tmp_path)
         self._rewrite(path, lambda a: a.update({key: np.zeros(3)}))
         with pytest.raises(ValueError, match=key):
+            bidaf.load_checkpoint(path)
+
+    def test_rejects_missing_meta(self, tiny_data, tmp_path):
+        path = self._saved(tiny_data, tmp_path)
+        self._rewrite(path, lambda a: a.pop("__meta__"))
+        with pytest.raises(ValueError, match="__meta__"):
+            bidaf.load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit, name",
+        [(lambda meta: meta["config"].update(depth=3), "'depth'"), (lambda meta: meta.pop("config"), "'config'")],
+        ids=["unknown-field", "no-config"],
+    )
+    def test_rejects_bad_config(self, tiny_data, tmp_path, edit, name):
+        path = self._saved(tiny_data, tmp_path)
+
+        def edit_meta(arrays):
+            meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
+            edit(meta)
+            arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+
+        self._rewrite(path, edit_meta)
+        with pytest.raises(ValueError, match=name):
             bidaf.load_checkpoint(path)

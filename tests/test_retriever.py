@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phocqa.corpus import Collection, Document, corrupt_collection
+from phocqa.corpus import (
+    Collection, Document, Line, Word, build_index, corrupt_collection, document_index, pack_phocs,
+)
 from phocqa.phoc import PHOC_DIM, phoc_encode
-from phocqa.retriever import doc_score, rank_collection
+from phocqa.retriever import doc_score, rank_collection, segment_maxima
+from phocqa.snippet_qa import answer_attention
 from phocqa.synth import GeneratorSpec, generate
 
 from conftest import make_collection, make_document, random_word
@@ -74,6 +77,42 @@ class TestDocScore:
         after = doc_score(make_document("d", [doc_words + [extra]]), query)
         # mathematically >=; BLAS reassociation leaves ulp-level jitter
         assert after >= before - 1e-12
+
+
+class TestSegmentMaxima:
+    @staticmethod
+    def row_major_maxima(index, query, starts):
+        """The kernel over one packed row per type, summing each row's
+        popcounts along the row."""
+        rows = np.ascontiguousarray(index.types.T)
+        qrows, qcounts = pack_phocs(query)
+        dots = np.stack([np.bitwise_count(rows & q).sum(axis=1) for q in qrows], axis=1)
+        sims = dots / np.sqrt(np.maximum(np.outer(index.counts, qcounts), 1))
+        return np.maximum.reduceat(sims[index.token_type], starts, axis=0)
+
+    @pytest.mark.parametrize("flip_rate", [0.0, 0.2, 0.5])
+    @pytest.mark.parametrize("query_len", [1, 3, 9])
+    def test_byte_identical_to_row_major(self, flip_rate, query_len):
+        base, _ = generate(GeneratorSpec(num_documents=30, num_questions=3, vocab_size=150, seed=query_len))
+        c = corrupt_collection(base, flip_rate, np.random.default_rng(query_len))
+        words = sorted({w.transcription for doc in base.ordered() for w in doc.words})
+        rng = np.random.default_rng(int(flip_rate * 10))
+        query = [phoc_encode(words[i]) for i in rng.integers(0, len(words), query_len)]
+        got = segment_maxima(c.index, query, c.index.offsets)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == self.row_major_maxima(c.index, query, c.index.offsets).tobytes()
+        doc = c.ordered()[0]
+        starts = np.array([ln.start_word for ln in doc.lines], dtype=np.intp)
+        got = segment_maxima(document_index(doc), query, starts)
+        assert got.tobytes() == self.row_major_maxima(build_index([doc]), query, starts).tobytes()
+
+    def test_all_ones_word_scores_exactly_one(self):
+        # 504 set bits: a uint8 sum of the popcounts would wrap to 248
+        ones = np.ones(PHOC_DIM)
+        doc = Document("d", (Word(0, 0, "x", ones),), (Line(0, 0, 0),))
+        assert doc_score(doc, [ones]) == 1.0
+        assert rank_collection(Collection({"d": doc}), [ones], k=1)[0].score == 1.0
+        assert answer_attention(doc, [ones]).confidence == 1.0
 
 
 class TestRankCollection:

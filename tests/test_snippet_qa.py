@@ -1,6 +1,9 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from phocqa.phoc import phoc_encode
+from phocqa.phoc import PHOC_DIM, phoc_encode
 from phocqa.retriever import doc_score
 from phocqa.snippet_qa import answer_attention, make_snippets
 
@@ -69,3 +72,9 @@ class TestAnswerAttention:
     def test_empty_query_rejected(self):
         with pytest.raises(ValueError):
             answer_attention(make_document("d", [["a"]]), [])
+
+    def test_non_binary_vector_named(self):
+        doc = make_document("d", [["a", "b"], ["c"]])
+        words = doc.words[:2] + (replace(doc.words[2], phoc=np.full(PHOC_DIM, 0.5)),)
+        with pytest.raises(ValueError, match="'d': PHOC of word 2 "):
+            answer_attention(replace(doc, words=words), [phoc_encode("a")])
