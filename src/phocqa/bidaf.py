@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .corpus import Document, Question
+from .corpus import Document, Question, document_rows, unpack_phocs
 from .neural import (
     AdadeltaState,
     Tensor,
@@ -141,7 +141,7 @@ def forward(
     def drop(x: Tensor) -> Tensor:
         return dropout(x, cfg.dropout_rate, rng, training)
 
-    ctx = np.stack([w.phoc for w in document.words])
+    ctx = unpack_phocs(document_rows(document))
     if cfg.mode == "line":
         pe = [line_positional_encoding(w.line_index, cfg.pos_dim) for w in document.words]
         ctx = np.concatenate([ctx, np.stack(pe)], axis=1)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Collection, Document, PackedIndex, build_index, pack_phocs
+from .corpus import Collection, Document, PackedIndex, document_index, pack_phocs
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def segment_maxima(index: PackedIndex, query: list[np.ndarray], starts: np.ndarr
 
 def doc_score(document: Document, query: list[np.ndarray]) -> float:
     """Mean over query vectors of the max cosine similarity to any document word."""
-    index = build_index([document])
+    index = document_index(document)
     return float(segment_maxima(index, query, index.offsets).mean(axis=1)[0])
 
 

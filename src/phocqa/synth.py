@@ -20,7 +20,7 @@ from .corpus import (
     Line,
     Question,
     Word,
-    preprocess_query,
+    query_tokens,
     shared_encoder,
 )
 from .stopwords import NORMALIZED_STOPWORDS
@@ -140,7 +140,7 @@ def generate(spec: GeneratorSpec) -> tuple[Collection, list[Question]]:
             Question(
                 question_id=qid,
                 text=text,
-                tokens=tuple(preprocess_query(text)[0]),
+                tokens=tuple(query_tokens(text)),
                 gold_doc_id=gold_id,
                 gold_word_span=span,
                 gold_line_span=(doc.line_of_word(span[0]), doc.line_of_word(span[1])),

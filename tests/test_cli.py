@@ -54,6 +54,14 @@ class TestValidate:
         assert main(["validate", "--collection", str(p)]) == 1
         assert "'a'" in capsys.readouterr().err
 
+    def test_malformed_field_named_without_traceback(self, tmp_path, capsys):
+        doc = {"doc_id": "a", "lines": [{"line_index": 0, "start_word": 0, "end_word": 0}], "words": 5}
+        p = tmp_path / "words.json"
+        p.write_text(json.dumps({"documents": [doc]}))
+        assert main(["validate", "--collection", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err == "invalid collection: document 'a': field 'words' must be a list, not int\n"
+
     def test_empty_file(self, tmp_path, capsys):
         p = tmp_path / "empty.json"
         p.write_text("")

@@ -1,15 +1,22 @@
+import gc
 import json
+import types
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from phocqa import corpus
 from phocqa.corpus import (
+    PACKED_WORDS,
     Collection,
+    Word,
     corrupt_collection,
     corrupt_phoc,
     load_collection,
     load_questions,
+    pack_phoc,
+    pack_phocs,
     preprocess_query,
     write_collection,
     write_questions,
@@ -18,7 +25,7 @@ from phocqa.phoc import PHOC_DIM, phoc_encode
 from phocqa.stopwords import NORMALIZED_STOPWORDS, STOPWORDS
 from phocqa.synth import GeneratorSpec, generate
 
-from conftest import make_collection
+from conftest import make_collection, random_word, with_bit_set
 
 VALID = {
     "documents": [
@@ -47,6 +54,43 @@ def write_json(tmp_path, data, name="collection.json"):
     p = tmp_path / name
     p.write_text(json.dumps(data))
     return p
+
+
+def set_field(path, value):
+    """A mutation of VALID that sets the field at `path` (keys and list
+    positions) to `value`, or deletes it when value is DELETE."""
+
+    def mutate(data):
+        *parents, last = path
+        for key in parents:
+            data = data[key]
+        if value is DELETE:
+            del data[last]
+        else:
+            data[last] = value
+
+    return mutate
+
+
+DELETE = object()
+MALFORMED = {
+    "documents-object": (set_field(["documents"], {"a": {}}), r"top level: field 'documents' must be a list"),
+    "documents-missing": (set_field(["documents"], DELETE), r"top level: field 'documents' is missing"),
+    "doc-id-integer": (set_field(["documents", 0, "doc_id"], 7), r"document 0: field 'doc_id' must be a string"),
+    "document-not-object": (set_field(["documents", 1], "b"), r"document 1: field 'doc_id' must be a string"),
+    "words-integer": (set_field(["documents", 0, "words"], 5), r"document 'a': field 'words' must be a list"),
+    "lines-missing": (set_field(["documents", 0, "lines"], DELETE), r"document 'a': field 'lines' is missing"),
+    "line-field-string": (set_field(["documents", 0, "lines", 1, "end_word"], "2"), r"document 'a': field 'lines' holds"),
+    "word-not-object": (set_field(["documents", 0, "words", 1], "sir"), r"document 'a': word 1 is not an object"),
+    "text-missing": (set_field(["documents", 0, "words", 2, "text"], DELETE), r"document 'a': word 2 has no field 'text'"),
+    "text-integer": (set_field(["documents", 0, "words", 1, "text"], 7), r"document 'a': word 1 field 'text' must be a string"),
+    "text-list": (set_field(["documents", 0, "words", 1, "text"], ["sir"]), r"document 'a': word 1 field 'text' must be a string"),
+    "word-index-bool": (set_field(["documents", 0, "words", 1, "word_index"], True), r"document 'a': word_index True at position 1"),
+    "line-index-float": (set_field(["documents", 0, "words", 2, "line_index"], 1.0), r"document 'a': word_index 2 has line_index 1.0"),
+    "bbox-nan": (set_field(["documents", 0, "words", 1, "bbox"], [1, float("nan"), 30, 10]), r"document 'a': word 1 field 'bbox'"),
+    "bbox-two-numbers": (set_field(["documents", 0, "words", 1, "bbox"], [1, 2]), r"document 'a': word 1 field 'bbox'"),
+    "bbox-string": (set_field(["documents", 0, "words", 0, "bbox"], [1, 2, "3", 4]), r"document 'a': word 0 field 'bbox'"),
+}
 
 
 class TestLoadCollection:
@@ -92,11 +136,33 @@ class TestLoadCollection:
         data = json.loads(json.dumps(VALID))
         data["documents"][1]["words"][0]["text"] = "Dear"
         c = load_collection(write_json(tmp_path, data))
-        shared = c["a"].words[0].phoc
-        assert c["b"].words[0].phoc is shared
-        assert c["a"].words[1].phoc is not shared
+        shared = c["a"].words[0].packed
+        assert c["b"].words[0].packed is shared
+        assert c["a"].words[1].packed is not shared
         assert not shared.flags.writeable
-        np.testing.assert_array_equal(shared, phoc_encode("dear"))
+        np.testing.assert_array_equal(c["b"].words[0].phoc, phoc_encode("dear"))
+
+    @pytest.mark.parametrize("mutate, message", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_field_named(self, tmp_path, mutate, message):
+        data = json.loads(json.dumps(VALID))
+        mutate(data)
+        with pytest.raises(ValueError, match=message):
+            load_collection(write_json(tmp_path, data))
+
+    def test_top_level_not_object(self, tmp_path):
+        with pytest.raises(ValueError, match="collection must be a JSON object"):
+            load_collection(write_json(tmp_path, VALID["documents"]))
+
+    def test_each_raw_text_normalized_once(self, tmp_path, monkeypatch):
+        data = json.loads(json.dumps(VALID))
+        data["documents"][1]["words"][0]["text"] = "Dear"
+        data["documents"][0]["words"][2]["text"] = "dear"
+        seen = []
+        normalize = corpus.normalize_token
+        monkeypatch.setattr(corpus, "normalize_token", lambda raw: seen.append(raw) or normalize(raw))
+        c = load_collection(write_json(tmp_path, data))
+        assert sorted(seen) == ["Dear", "dear", "sir"]
+        assert [w.transcription for w in c["a"].words] == ["dear", "sir", "dear"]
 
     def test_malformed_json(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -119,6 +185,18 @@ class TestLoadCollection:
             for a, b in zip(doc.words, other.words):
                 np.testing.assert_array_equal(a.phoc, b.phoc)
         assert load_questions(qpath, reloaded) == questions
+
+
+class TestLoadQuestions:
+    def test_encodes_no_token(self, tmp_path, monkeypatch):
+        collection, questions = generate(GeneratorSpec(num_documents=4, num_questions=3, vocab_size=60, seed=9))
+        write_questions(questions, tmp_path / "q.json")
+
+        def encode(text):
+            raise AssertionError(f"encoded {text!r}")
+
+        monkeypatch.setattr(corpus, "phoc_encode", encode)
+        assert load_questions(tmp_path / "q.json", collection) == questions
 
 
 class TestPreprocessQuery:
@@ -201,10 +279,10 @@ class TestCorruptCollection:
             corrupt_collection(make_collection({"d": [["one"]]}), 1.5, rng)
 
     def test_rejects_non_binary_naming_document(self, rng):
-        c = make_collection({"d": [["one"]]})
+        c = make_collection({"d": [["one", "two"]]})
         doc = c["d"]
-        bad = Collection({"d": replace(doc, words=(replace(doc.words[0], phoc=np.full(PHOC_DIM, 0.5)),))})
-        with pytest.raises(ValueError, match="'d'"):
+        bad = Collection({"d": replace(doc, words=(doc.words[0], with_bit_set(doc.words[1], 508)))})
+        with pytest.raises(ValueError, match="'d': PHOC of word 1 has padding bits set"):
             corrupt_collection(bad, 0.1, rng)
 
 
@@ -217,6 +295,56 @@ def test_collection_documents_read_only():
         c.documents["e"] = docs["d"]
 
 
+class TestPackedWords:
+    def test_phoc_unpacks_phoc_encode(self, rng):
+        for _ in range(500):
+            text = random_word(rng, 1, 40)
+            phoc = Word(0, 0, text, pack_phoc(phoc_encode(text))).phoc
+            assert phoc.dtype == np.float64 and phoc.flags.writeable
+            np.testing.assert_array_equal(phoc, phoc_encode(text))
+
+    def test_phoc_is_a_fresh_array(self):
+        word = Word(0, 0, "x", pack_phoc(phoc_encode("x")))
+        word.phoc[:] = 0.0
+        np.testing.assert_array_equal(word.phoc, phoc_encode("x"))
+
+    def test_packers_reject_non_binary(self):
+        half = np.full(PHOC_DIM, 0.5)
+        with pytest.raises(ValueError, match="vector 0 is not binary"):
+            pack_phoc(half)
+        with pytest.raises(ValueError, match="vector 1 is not binary"):
+            pack_phocs([phoc_encode("a"), half])
+
+    def test_rows_are_read_only_64_bytes(self, tmp_path, rng):
+        collection, _ = generate(GeneratorSpec(num_documents=6, num_questions=3, vocab_size=60, seed=5))
+        write_collection(collection, tmp_path / "c.json")
+        loaded = load_collection(tmp_path / "c.json")
+        for c in (collection, loaded, corrupt_collection(loaded, 0.2, rng)):
+            for doc in c.ordered():
+                for w in doc.words:
+                    assert (w.packed.dtype, w.packed.shape, w.packed.nbytes) == (np.uint64, (PACKED_WORDS,), 64)
+                    assert not w.packed.flags.writeable
+                    assert not w.packed.view(np.uint8)[63]  # padding bits clear
+
+    def test_corrupted_collection_holds_no_float_array(self, rng):
+        collection, _ = generate(GeneratorSpec(num_documents=6, num_questions=3, vocab_size=60, seed=5))
+        noisy = corrupt_collection(collection, 0.2, rng)
+        seen, stack, arrays = {id(noisy)}, [noisy], []
+        while stack:
+            obj = stack.pop()
+            referents = gc.get_referents(obj)
+            if isinstance(obj, np.ndarray):
+                arrays.append(obj)
+                referents.append(obj.base)
+            for r in referents:
+                if r is not None and id(r) not in seen and not isinstance(r, (type, types.ModuleType, types.FunctionType)):
+                    seen.add(id(r))
+                    stack.append(r)
+        words = sum(len(doc.words) for doc in noisy.ordered())
+        assert len(arrays) > words
+        assert all(a.dtype != np.float64 for a in arrays)
+
+
 def test_loaders_build_the_index(tmp_path, rng):
     c = load_collection(write_json(tmp_path, VALID))
     assert "index" in vars(c)
@@ -226,7 +354,7 @@ def test_loaders_build_the_index(tmp_path, rng):
 def test_index_of_shared_vectors_equals_index_of_copies():
     shared, _ = generate(GeneratorSpec(num_documents=6, num_questions=3, vocab_size=60, seed=5))
     copies = Collection({
-        d.doc_id: replace(d, words=tuple(replace(w, phoc=w.phoc.copy()) for w in d.words))
+        d.doc_id: replace(d, words=tuple(replace(w, packed=w.packed.copy()) for w in d.words))
         for d in shared.ordered()
     })
     a, b = shared.index, copies.index

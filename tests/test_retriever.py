@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phocqa.corpus import (
-    Collection, Document, Line, Word, build_index, corrupt_collection, document_index, pack_phocs,
+    Collection, Document, Line, Word, build_index, corrupt_collection, document_index, pack_phoc, pack_phocs,
 )
 from phocqa.phoc import PHOC_DIM, phoc_encode
 from phocqa.retriever import doc_score, rank_collection, segment_maxima
 from phocqa.snippet_qa import answer_attention
 from phocqa.synth import GeneratorSpec, generate
 
-from conftest import make_collection, make_document, random_word
+from conftest import make_collection, make_document, random_word, with_bit_set
 from oracles import doc_score_reference
 
 word_lists = st.lists(
@@ -109,7 +110,7 @@ class TestSegmentMaxima:
     def test_all_ones_word_scores_exactly_one(self):
         # 504 set bits: a uint8 sum of the popcounts would wrap to 248
         ones = np.ones(PHOC_DIM)
-        doc = Document("d", (Word(0, 0, "x", ones),), (Line(0, 0, 0),))
+        doc = Document("d", (Word(0, 0, "x", pack_phoc(ones)),), (Line(0, 0, 0),))
         assert doc_score(doc, [ones]) == 1.0
         assert rank_collection(Collection({"d": doc}), [ones], k=1)[0].score == 1.0
         assert answer_attention(doc, [ones]).confidence == 1.0
@@ -172,10 +173,29 @@ class TestRankCollection:
     def test_non_binary_vector_named(self):
         c = make_collection({"a": [["x"]], "b": [["y", "z"]]})
         doc = c["b"]
-        words = (doc.words[0], replace(doc.words[1], phoc=np.full(PHOC_DIM, 0.5)))
+        words = (doc.words[0], with_bit_set(doc.words[1], PHOC_DIM))
         bad = Collection({"a": c["a"], "b": replace(doc, words=words)})
-        with pytest.raises(ValueError, match="'b'"):
+        with pytest.raises(ValueError, match="'b': PHOC of word 1 has padding bits set"):
             rank_collection(bad, [phoc_encode("x")], k=1)
+
+    @pytest.mark.parametrize("malform", ["half-row", "int64", "float-phoc", "list"])
+    def test_malformed_row_named(self, malform):
+        c = make_collection({"a": [["x"]], "b": [["y", "z"]]})
+        doc = c["b"]
+        row = doc.words[1].packed
+        packed = {
+            "half-row": row[:4],
+            "int64": row.astype(np.int64),
+            "float-phoc": doc.words[1].phoc,
+            "list": row.tolist(),
+        }[malform]
+        words = (doc.words[0], replace(doc.words[1], packed=packed))
+        bad = Collection({"a": c["a"], "b": replace(doc, words=words)})
+        message = re.escape("'b': PHOC of word 1 is not a (8,) uint64 row")
+        with pytest.raises(ValueError, match=message):
+            rank_collection(bad, [phoc_encode("x")], k=1)
+        with pytest.raises(ValueError, match=message):
+            doc_score(bad["b"], [phoc_encode("x")])
 
     def test_empty_collection(self):
         with pytest.raises(ValueError, match="empty collection"):

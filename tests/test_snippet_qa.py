@@ -1,13 +1,12 @@
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
-from phocqa.phoc import PHOC_DIM, phoc_encode
+from phocqa.phoc import phoc_encode
 from phocqa.retriever import doc_score
 from phocqa.snippet_qa import answer_attention, make_snippets
 
-from conftest import make_document, random_word
+from conftest import make_document, random_word, with_bit_set
 
 
 class TestMakeSnippets:
@@ -75,6 +74,6 @@ class TestAnswerAttention:
 
     def test_non_binary_vector_named(self):
         doc = make_document("d", [["a", "b"], ["c"]])
-        words = doc.words[:2] + (replace(doc.words[2], phoc=np.full(PHOC_DIM, 0.5)),)
-        with pytest.raises(ValueError, match="'d': PHOC of word 2 "):
+        words = doc.words[:2] + (with_bit_set(doc.words[2], 511),)
+        with pytest.raises(ValueError, match="'d': PHOC of word 2 has padding bits set"):
             answer_attention(replace(doc, words=words), [phoc_encode("a")])
