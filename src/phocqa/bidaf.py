@@ -167,15 +167,20 @@ def forward(
 def constrained_span_argmax(
     start_logits: np.ndarray, end_logits: np.ndarray, max_span: int
 ) -> tuple[int, int, float]:
-    """Maximize start_logits[s] + end_logits[e] over s <= e <= s + max_span - 1."""
+    """Maximize start_logits[s] + end_logits[e] over s <= e <= s + max_span - 1.
+
+    One argmax over the (s, e) score matrix with everything outside the band
+    (and any NaN score) set to -inf, so the first maximum in row-major
+    (s, e) order wins; with no candidate above -inf the result is (0, 0, -inf).
+    """
     n = len(start_logits)
-    best = (0, 0, -np.inf)
-    for s in range(n):
-        for e in range(s, min(s + max_span, n)):
-            v = start_logits[s] + end_logits[e]
-            if v > best[2]:
-                best = (s, e, v)
-    return best
+    if n == 0:
+        return 0, 0, -np.inf
+    scores = np.add.outer(start_logits, end_logits)
+    offset = np.subtract.outer(np.arange(n), np.arange(n))  # s - e
+    scores[(offset > 0) | (offset <= -max_span) | np.isnan(scores)] = -np.inf
+    s, e = divmod(int(np.argmax(scores)), n)
+    return s, e, scores[s, e]
 
 
 def predict(document: Document, question: list[np.ndarray], model: BidafModel) -> AnswerPrediction:
@@ -326,7 +331,7 @@ def load_checkpoint(path) -> BidafModel:
             kind, _, name = key.partition(":")
             if kind not in ("p", "eg2", "edx2") or name not in params:
                 raise ValueError(f"unknown key {key!r} in checkpoint")
-            values = data[key].astype(np.float64)
+            values = data[key].astype(np.float64, order="C")  # adadelta_step sweeps flat views
             if values.shape != params[name].values.shape:
                 raise ValueError(f"shape mismatch for checkpoint key {key!r}")
             if kind == "p":

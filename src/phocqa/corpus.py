@@ -408,23 +408,49 @@ def _line_span_of_word_span(doc: Document, span: tuple[int, int]) -> tuple[int, 
     return (doc.line_of_word(span[0]), doc.line_of_word(span[1]))
 
 
+_QUESTION_FIELDS = (
+    ("question_id", str, "a string"),
+    ("text", str, "a string"),
+    ("gold_doc_id", str, "a string"),
+    ("gold_start_word", int, "an integer"),
+    ("gold_end_word", int, "an integer"),
+)
+
+
 def load_questions(path: str | Path, collection: Collection) -> list[Question]:
+    """Load and validate a question file against `collection`.  A malformed
+    file raises ValueError naming the question (by id, or by position when
+    it has no string id) and the field."""
     with open(path, encoding="utf-8") as f:
         data = json.load(f)
+    if not isinstance(data, dict):
+        raise ValueError(f"question file must be a JSON object, not {type(data).__name__}")
     questions = []
-    for q in data["questions"]:
-        qid = q["question_id"]
+    for position, q in enumerate(_list_field(data, "questions", "top level")):
+        if not isinstance(q, dict):
+            raise ValueError(f"question {position} is not an object")
+        qid = q.get("question_id")
+        where = f"question {qid!r}" if isinstance(qid, str) else f"question {position}"
+        for key, kind, described in _QUESTION_FIELDS:
+            if key not in q:
+                raise ValueError(f"{where}: field {key!r} is missing")
+            if type(q[key]) is not kind:  # exact: a bool is not an integer here
+                raise ValueError(f"{where}: field {key!r} must be {described}, not {q[key]!r}")
         doc = collection.documents.get(q["gold_doc_id"])
         if doc is None:
-            raise ValueError(f"question {qid!r}: unknown gold_doc_id {q['gold_doc_id']!r}")
+            raise ValueError(f"{where}: unknown gold_doc_id {q['gold_doc_id']!r}")
         span = (q["gold_start_word"], q["gold_end_word"])
         if not (0 <= span[0] <= span[1] < len(doc.words)):
-            raise ValueError(f"question {qid!r}: gold span {span} outside document {doc.doc_id!r}")
+            raise ValueError(f"{where}: gold span {span} outside document {doc.doc_id!r}")
+        try:
+            tokens = tuple(query_tokens(q["text"]))
+        except ValueError as e:
+            raise ValueError(f"{where}: field 'text': {e}") from None
         questions.append(
             Question(
                 question_id=qid,
                 text=q["text"],
-                tokens=tuple(query_tokens(q["text"])),
+                tokens=tokens,
                 gold_doc_id=doc.doc_id,
                 gold_word_span=span,
                 gold_line_span=_line_span_of_word_span(doc, span),

@@ -375,6 +375,9 @@ def c2q_attention(context: Tensor, question: Tensor, ws: Tensor) -> Tensor:
 # ADADELTA
 
 
+ADADELTA_BLOCK = 16384  # coordinates per sweep block: 128 KiB of float64 per array
+
+
 @dataclass
 class AdadeltaState:
     """Per-parameter running averages of squared gradients and updates."""
@@ -388,27 +391,51 @@ class AdadeltaState:
 
 def adadelta_step(params: dict[str, Tensor], state: AdadeltaState) -> None:
     """One ADADELTA update for every parameter, in place; gradients of None
-    count as zero (averages still decay)."""
-    one_minus_rho = 1.0 - state.rho
+    count as zero (averages still decay).
+
+    The update is elementwise, so each parameter is swept in blocks of
+    ADADELTA_BLOCK coordinates through two scratch arrays that stay in
+    cache; every coordinate sees the same float operations in the same
+    order as the unblocked update.  Parameters and their averages must be
+    C-contiguous, because they are updated through flat views.
+    """
+    rho = state.rho
+    one_minus_rho = 1.0 - rho
+    eps = state.eps
+    neg_lr = -state.lr
+    t = np.empty(ADADELTA_BLOCK)
+    t2 = np.empty(ADADELTA_BLOCK)
     for name, p in params.items():
         eg2 = state.eg2.setdefault(name, np.zeros_like(p.values))
         edx2 = state.edx2.setdefault(name, np.zeros_like(p.values))
-        eg2 *= state.rho
         if p.grad is None:
-            edx2 *= state.rho
+            eg2 *= rho
+            edx2 *= rho
             continue
-        g = p.grad
-        g2 = np.multiply(g, g)
-        g2 *= one_minus_rho
-        eg2 += g2
-        dx = np.sqrt((edx2 + state.eps) / (eg2 + state.eps))
-        dx *= g
-        edx2 *= state.rho
-        dx2 = np.multiply(dx, dx)
-        dx2 *= one_minus_rho
-        edx2 += dx2
-        dx *= -state.lr
-        p.values += dx
+        for a in (p.values, eg2, edx2):
+            if not a.flags.c_contiguous:
+                raise ValueError(f"parameter {name!r}: ADADELTA needs C-contiguous arrays")
+        pf, gf, eg2f, edx2f = (a.reshape(-1) for a in (p.values, p.grad, eg2, edx2))
+        size = pf.size
+        for lo in range(0, size, ADADELTA_BLOCK):
+            hi = min(lo + ADADELTA_BLOCK, size)
+            pb, gb, e1, e2 = pf[lo:hi], gf[lo:hi], eg2f[lo:hi], edx2f[lo:hi]
+            tb, t2b = t[: hi - lo], t2[: hi - lo]
+            e1 *= rho
+            np.multiply(gb, gb, out=tb)
+            tb *= one_minus_rho
+            e1 += tb
+            np.add(e2, eps, out=tb)
+            np.add(e1, eps, out=t2b)
+            tb /= t2b
+            np.sqrt(tb, out=tb)
+            tb *= gb
+            e2 *= rho
+            np.multiply(tb, tb, out=t2b)
+            t2b *= one_minus_rho
+            e2 += t2b
+            tb *= neg_lr
+            pb += tb
 
 
 def zero_grads(params: dict[str, Tensor]) -> None:

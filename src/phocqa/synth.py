@@ -83,7 +83,7 @@ def generate(spec: GeneratorSpec) -> tuple[Collection, list[Question]]:
         for _ in range(n_lines):
             n_words = int(rng.integers(spec.words_per_line[0], spec.words_per_line[1] + 1))
             start = len(words)
-            words.extend(rng.choice(filler, size=n_words))
+            words.extend(rng.choice(filler, size=n_words).tolist())  # str, not numpy.str_
             spans.append((start, len(words) - 1))
         grids[did] = words
         line_spans[did] = spans

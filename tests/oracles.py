@@ -2,7 +2,8 @@
 
 These are written against the definitions directly and deliberately share
 no code with the library: occupancy-rule PHOC bits, nested-loop max/mean
-document scoring, and set-arithmetic DIS.
+document scoring, set-arithmetic DIS, the unblocked per-tensor ADADELTA
+update and the double-loop constrained span argmax.
 """
 
 from __future__ import annotations
@@ -55,3 +56,43 @@ def dis_reference(sb: set, lb: set, ab: set) -> float:
     if not ab:
         return 0.0
     return (len(ab & sb) / len(sb)) * (len(ab & lb) / len(ab))
+
+
+def adadelta_reference(params, state) -> None:
+    """One unblocked ADADELTA update per parameter tensor, in place, with
+    full-size temporaries; `params` maps names to objects with `.values` and
+    `.grad` (None counts as zero), `state` holds lr, rho, eps and the eg2 and
+    edx2 dicts."""
+    one_minus_rho = 1.0 - state.rho
+    for name, p in params.items():
+        eg2 = state.eg2.setdefault(name, np.zeros_like(p.values))
+        edx2 = state.edx2.setdefault(name, np.zeros_like(p.values))
+        eg2 *= state.rho
+        if p.grad is None:
+            edx2 *= state.rho
+            continue
+        g = p.grad
+        g2 = np.multiply(g, g)
+        g2 *= one_minus_rho
+        eg2 += g2
+        dx = np.sqrt((edx2 + state.eps) / (eg2 + state.eps))
+        dx *= g
+        edx2 *= state.rho
+        dx2 = np.multiply(dx, dx)
+        dx2 *= one_minus_rho
+        edx2 += dx2
+        dx *= -state.lr
+        p.values += dx
+
+
+def span_argmax_reference(start_logits, end_logits, max_span: int) -> tuple[int, int, float]:
+    """Double loop over s <= e <= s + max_span - 1; the first maximum in
+    (s, e) row-major order wins."""
+    n = len(start_logits)
+    best = (0, 0, -np.inf)
+    for s in range(n):
+        for e in range(s, min(s + max_span, n)):
+            v = start_logits[s] + end_logits[e]
+            if v > best[2]:
+                best = (s, e, v)
+    return best

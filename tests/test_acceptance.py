@@ -229,10 +229,12 @@ def _overfit(mode: str) -> None:
     ok(f"{mode}-level overfit: mean exact-span accuracy {mean_acc:.3f} over 5 seeds ({elapsed:.0f}s)")
 
 
+@pytest.mark.slow
 def test_bidaf_line_overfit():
     _overfit("line")
 
 
+@pytest.mark.slow
 def test_bidaf_word_overfit():
     _overfit("word")
 

@@ -15,6 +15,7 @@ from phocqa.corpus import preprocess_query
 from phocqa.synth import GeneratorSpec, generate
 
 from conftest import make_document
+from oracles import adadelta_reference, span_argmax_reference
 
 SMALL = dict(hidden=6, pos_dim=6, dropout_rate=0.0)
 
@@ -139,6 +140,23 @@ class TestPredict:
             )
             assert got[2] == pytest.approx(best[2])
 
+    @pytest.mark.parametrize("n, max_span", [(1, 8), (5, 8), (8, 8), (9, 8), (20, 3), (56, 30)])
+    def test_matches_double_loop_oracle(self, n, max_span):
+        rng = np.random.default_rng(100 * n + max_span)
+        for _ in range(40):
+            # integer logits from {0, 1, 2} force ties: the first span in
+            # row-major (s, e) order must win them
+            for start, end in (rng.standard_normal((2, n)), rng.integers(0, 3, (2, n)).astype(float)):
+                assert constrained_span_argmax(start, end, max_span) == span_argmax_reference(start, end, max_span)
+        assert constrained_span_argmax(np.zeros(n), np.zeros(n), max_span) == (0, 0, 0.0)
+
+    def test_no_candidate_above_minus_inf(self):
+        minus_inf = np.full(4, -np.inf)
+        assert constrained_span_argmax(minus_inf, np.zeros(4), 2) == (0, 0, -np.inf)
+        nan_start, end = np.array([np.nan, 1.0]), np.array([0.0, 2.0])
+        assert constrained_span_argmax(nan_start, end, 2) == span_argmax_reference(nan_start, end, 2) == (1, 1, 3.0)
+        assert constrained_span_argmax(np.zeros(0), np.zeros(0), 8) == span_argmax_reference([], [], 8)
+
     def test_shift_invariance(self, tiny_data):
         collection, questions = tiny_data
         model = BidafModel(BidafConfig(**SMALL), seed=0)
@@ -190,6 +208,24 @@ class TestTrain:
         assert runs[0][0] == runs[1][0]
         for k in runs[0][1]:
             np.testing.assert_array_equal(runs[0][1][k], runs[1][1][k])
+
+    def test_adadelta_matches_reference_over_25_steps(self, tiny_data, monkeypatch):
+        """25 training steps of an h=100 line model: the library ADADELTA and
+        the unblocked reference give the same losses, parameters and averages
+        byte for byte."""
+        collection, questions = tiny_data
+        ex = [(collection[q.gold_doc_id], q) for q in questions]
+        runs = []
+        for step_fn in (nn.adadelta_step, adadelta_reference):
+            monkeypatch.setattr(bidaf, "adadelta_step", step_fn)
+            model = BidafModel(BidafConfig(hidden=100, dropout_rate=0.2, mode="line"), seed=4)
+            losses = [bidaf.train(model, [ex[i % len(ex)]], epochs=1, seed=i)[0] for i in range(25)]
+            arrays = {
+                name: (p.values.tobytes(), model.optimizer.eg2[name].tobytes(), model.optimizer.edx2[name].tobytes())
+                for name, p in model.parameters().items()
+            }
+            runs.append(([x.hex() for x in losses], arrays))
+        assert runs[0] == runs[1]
 
     def test_gold_span_out_of_range(self, tiny_data):
         collection, questions = tiny_data
@@ -270,6 +306,20 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         bidaf.save_checkpoint(model, path)
         return path
+
+    def test_fortran_ordered_archive_trains_like_the_original(self, tiny_data, tmp_path):
+        path = self._saved(tiny_data, tmp_path)
+        original = bidaf.load_checkpoint(path)
+        self._rewrite(path, lambda a: a.update({k: np.asfortranarray(v) for k, v in a.items() if v.ndim == 2}))
+        with np.load(path) as data:
+            assert not data["p:q_enc.fwd.W"].flags.c_contiguous
+        loaded = bidaf.load_checkpoint(path)
+        collection, questions = tiny_data
+        ex = [(collection[q.gold_doc_id], q) for q in questions]
+        for model in (original, loaded):
+            bidaf.train(model, ex, epochs=1, seed=3)
+        for name, p in original.parameters().items():
+            assert loaded.parameters()[name].values.tobytes() == p.values.tobytes(), name
 
     def test_rejects_missing_parameter(self, tiny_data, tmp_path):
         path = self._saved(tiny_data, tmp_path)

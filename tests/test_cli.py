@@ -227,6 +227,21 @@ class TestTrainAnswerEval:
         assert rc == 1
         assert "mode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "questions, message",
+        [
+            ({"questions": 5}, "top level: field 'questions' must be a list, not int"),
+            ({"questions": [{"question_id": "q", "text": 7}]}, "question 'q': field 'text' must be a string, not 7"),
+        ],
+        ids=["questions-integer", "text-integer"],
+    )
+    def test_eval_malformed_questions_without_traceback(self, corpus_dir, tmp_path, capsys, questions, message):
+        path = tmp_path / "questions.json"
+        path.write_text(json.dumps(questions))
+        rc = main(["eval", "--collection", str(corpus_dir / "collection.json"), "--questions", str(path)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_answer_command(self, corpus_dir, capsys):
         questions = json.loads((corpus_dir / "questions.json").read_text())["questions"]
         q = questions[0]

@@ -187,7 +187,55 @@ class TestLoadCollection:
         assert load_questions(qpath, reloaded) == questions
 
 
+VALID_QUESTIONS = {
+    "questions": [
+        {"question_id": "q1", "text": "dear sir", "gold_doc_id": "a", "gold_start_word": 0, "gold_end_word": 1},
+        {"question_id": "q2", "text": "hello", "gold_doc_id": "b", "gold_start_word": 0, "gold_end_word": 0},
+    ]
+}
+MALFORMED_QUESTIONS = {
+    "questions-integer": (set_field(["questions"], 5), r"top level: field 'questions' must be a list, not int"),
+    "questions-missing": (set_field(["questions"], DELETE), r"top level: field 'questions' is missing"),
+    "question-not-object": (set_field(["questions", 1], "q2"), r"question 1 is not an object"),
+    "id-missing": (set_field(["questions", 1, "question_id"], DELETE), r"question 1: field 'question_id' is missing"),
+    "id-integer": (set_field(["questions", 0, "question_id"], 7), r"question 0: field 'question_id' must be a string, not 7"),
+    "text-missing": (set_field(["questions", 1, "text"], DELETE), r"question 'q2': field 'text' is missing"),
+    "text-integer": (set_field(["questions", 0, "text"], 7), r"question 'q1': field 'text' must be a string, not 7"),
+    "text-list": (set_field(["questions", 0, "text"], ["dear"]), r"question 'q1': field 'text' must be a string, not \['dear'\]"),
+    "text-no-tokens": (set_field(["questions", 0, "text"], "?!"), r"question 'q1': field 'text': question has no usable tokens"),
+    "doc-id-list": (set_field(["questions", 0, "gold_doc_id"], ["a"]), r"question 'q1': field 'gold_doc_id' must be a string"),
+    "doc-id-unknown": (set_field(["questions", 0, "gold_doc_id"], "zz"), r"question 'q1': unknown gold_doc_id 'zz'"),
+    "start-missing": (set_field(["questions", 0, "gold_start_word"], DELETE), r"question 'q1': field 'gold_start_word' is missing"),
+    "start-bool": (set_field(["questions", 0, "gold_start_word"], True), r"question 'q1': field 'gold_start_word' must be an integer, not True"),
+    "start-string": (set_field(["questions", 0, "gold_start_word"], "0"), r"question 'q1': field 'gold_start_word' must be an integer, not '0'"),
+    "end-float": (set_field(["questions", 1, "gold_end_word"], 0.0), r"question 'q2': field 'gold_end_word' must be an integer, not 0.0"),
+    "end-bool": (set_field(["questions", 1, "gold_end_word"], False), r"question 'q2': field 'gold_end_word' must be an integer, not False"),
+    "span-outside": (set_field(["questions", 0, "gold_end_word"], 3), r"question 'q1': gold span \(0, 3\) outside document 'a'"),
+}
+
+
 class TestLoadQuestions:
+    def test_valid(self, tmp_path):
+        collection = load_collection(write_json(tmp_path, VALID))
+        questions = load_questions(write_json(tmp_path, VALID_QUESTIONS, "q.json"), collection)
+        assert [(q.question_id, q.tokens, q.gold_word_span, q.gold_line_span) for q in questions] == [
+            ("q1", ("dear", "sir"), (0, 1), (0, 0)),
+            ("q2", ("hello",), (0, 0), (0, 0)),
+        ]
+
+    @pytest.mark.parametrize("mutate, message", MALFORMED_QUESTIONS.values(), ids=MALFORMED_QUESTIONS.keys())
+    def test_malformed_field_named(self, tmp_path, mutate, message):
+        collection = load_collection(write_json(tmp_path, VALID))
+        data = json.loads(json.dumps(VALID_QUESTIONS))
+        mutate(data)
+        with pytest.raises(ValueError, match=message):
+            load_questions(write_json(tmp_path, data, "q.json"), collection)
+
+    def test_top_level_not_object(self, tmp_path):
+        collection = load_collection(write_json(tmp_path, VALID))
+        with pytest.raises(ValueError, match="question file must be a JSON object, not list"):
+            load_questions(write_json(tmp_path, VALID_QUESTIONS["questions"], "q.json"), collection)
+
     def test_encodes_no_token(self, tmp_path, monkeypatch):
         collection, questions = generate(GeneratorSpec(num_documents=4, num_questions=3, vocab_size=60, seed=9))
         write_questions(questions, tmp_path / "q.json")

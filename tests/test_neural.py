@@ -5,6 +5,8 @@ import pytest
 
 from phocqa import neural as nn
 
+from oracles import adadelta_reference
+
 
 def sum_of_squares(x: nn.Tensor) -> nn.Tensor:
     flat = nn.reshape(x, (-1,))
@@ -293,6 +295,78 @@ class TestAdadelta:
             p.grad = 2.0 * p.values  # d/dx x^2
             nn.adadelta_step({"p": p}, state)
         assert abs(p.values[0]) < 0.5
+
+
+BLOCK = nn.ADADELTA_BLOCK
+ADADELTA_SHAPES = {
+    "0-d": (),
+    "1": (1,),
+    "block-1": (BLOCK - 1,),
+    "block": (BLOCK,),
+    "block+1": (BLOCK + 1,),
+    "3block+7": (3 * BLOCK + 7,),
+    "matrix": (3, BLOCK // 2 + 5),
+}
+
+
+def adadelta_twins(shapes: dict[str, tuple], seed: int):
+    """Two identical (params, state) pairs over `shapes`, one for the
+    library step and one for the reference."""
+    rng = np.random.default_rng(seed)
+    values = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    return [
+        ({name: nn.Tensor(v.copy(), requires_grad=True) for name, v in values.items()}, nn.AdadeltaState())
+        for _ in range(2)
+    ]
+
+
+def assert_same_adadelta_bytes(a, b) -> None:
+    (pa, sa), (pb, sb) = a, b
+    assert sa.eg2.keys() == sb.eg2.keys() == sa.edx2.keys() == sb.edx2.keys()
+    for name in pa:
+        assert pa[name].values.tobytes() == pb[name].values.tobytes(), name
+        assert sa.eg2[name].tobytes() == sb.eg2[name].tobytes(), name
+        assert sa.edx2[name].tobytes() == sb.edx2[name].tobytes(), name
+
+
+class TestAdadeltaOracle:
+    """The blocked sweep against the unblocked per-tensor update in
+    tests/oracles.py: parameters and both averages equal byte for byte."""
+
+    @pytest.mark.parametrize("shape", ADADELTA_SHAPES.values(), ids=ADADELTA_SHAPES.keys())
+    def test_repeated_steps_bit_identical(self, shape):
+        lib, ref = adadelta_twins({"p": shape}, seed=len(shape) + int(np.prod(shape)))
+        rng = np.random.default_rng(7)
+        for _ in range(6):
+            grad = rng.standard_normal(shape) * rng.choice([1e-6, 1.0, 1e3])
+            lib[0]["p"].grad = grad
+            ref[0]["p"].grad = grad.copy()
+            nn.adadelta_step(*lib)
+            adadelta_reference(*ref)
+            assert_same_adadelta_bytes(lib, ref)
+
+    def test_none_gradient_decays_and_keeps_parameter(self):
+        lib, ref = adadelta_twins({"a": (BLOCK + 3,), "b": (), "c": (5,)}, seed=3)
+        lib[1].eg2["b"] = np.array(2.0)
+        ref[1].eg2["b"] = np.array(2.0)
+        for step in range(5):
+            for params, _ in (lib, ref):
+                for name, p in params.items():
+                    # "b" never has a gradient; "a" has none on odd steps
+                    missing = name == "b" or (name == "a" and step % 2 == 1)
+                    p.grad = None if missing else np.random.default_rng([step, ord(name)]).standard_normal(p.shape)
+            before = lib[0]["b"].values.tobytes()
+            nn.adadelta_step(*lib)
+            adadelta_reference(*ref)
+            assert_same_adadelta_bytes(lib, ref)
+            assert lib[0]["b"].values.tobytes() == before
+        assert lib[1].eg2["b"] == pytest.approx(2.0 * 0.95**5, rel=1e-15)
+
+    def test_rejects_non_contiguous_parameter(self):
+        p = nn.Tensor(np.asfortranarray(np.ones((3, 4))), requires_grad=True)
+        p.grad = np.ones((3, 4))
+        with pytest.raises(ValueError, match="'w'"):
+            nn.adadelta_step({"w": p}, nn.AdadeltaState())
 
 
 class TestPerLayerGradients:

@@ -31,6 +31,11 @@ class TestGenerate:
         ]
         assert list(q.tokens) == span_words
 
+    def test_transcriptions_are_plain_str(self):
+        collection, questions = generate(GeneratorSpec(num_documents=6, num_questions=4, vocab_size=60, seed=3))
+        assert all(type(w.transcription) is str for doc in collection.ordered() for w in doc.words)
+        assert all(type(t) is str for q in questions for t in q.tokens)
+
     def test_same_seed_identical(self):
         a = generate(GeneratorSpec(num_documents=4, num_questions=3, vocab_size=50, seed=77))
         b = generate(GeneratorSpec(num_documents=4, num_questions=3, vocab_size=50, seed=77))
