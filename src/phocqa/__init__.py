@@ -9,7 +9,6 @@ from .corpus import (
     Line,
     Question,
     Word,
-    corrupt_phoc,
     load_collection,
     load_questions,
     preprocess_query,
@@ -35,7 +34,6 @@ __all__ = [
     "write_collection",
     "write_questions",
     "preprocess_query",
-    "corrupt_phoc",
     "RetrievalResult",
     "doc_score",
     "rank_collection",

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .corpus import Document, Question, document_rows, unpack_phocs
+from .corpus import Document, Question, unpack_phocs
 from .neural import (
     AdadeltaState,
     Tensor,
@@ -34,6 +34,7 @@ from .neural import (
     uniform_param,
     zero_grads,
 )
+from .phoc import PHOC_DIM
 from .snippet_qa import AnswerPrediction
 
 CHECKPOINT_FORMAT = "phocqa-bidaf-v1"
@@ -41,7 +42,7 @@ CHECKPOINT_FORMAT = "phocqa-bidaf-v1"
 
 @dataclass
 class BidafConfig:
-    phoc_dim: int = 504
+    phoc_dim: int = PHOC_DIM  # fixed; kept because saved configs carry it
     pos_dim: int = 30
     hidden: int = 100
     dropout_rate: float = 0.2
@@ -49,6 +50,8 @@ class BidafConfig:
     max_span: int | None = None  # answer length cap; default 8 lines / 30 words
 
     def __post_init__(self):
+        if self.phoc_dim != PHOC_DIM:  # the context is always PHOC_DIM wide
+            raise ValueError(f"phoc_dim must be {PHOC_DIM}, got {self.phoc_dim!r}")
         if self.mode not in ("line", "word"):
             raise ValueError(f"mode must be 'line' or 'word', got {self.mode!r}")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -117,7 +120,7 @@ class BidafModel:
 
 
 def _line_aggregation_matrix(document: Document) -> np.ndarray:
-    agg = np.zeros((document.num_lines, len(document.words)))
+    agg = np.zeros((document.num_lines, len(document)))
     for ln in document.lines:
         agg[ln.line_index, ln.start_word : ln.end_word + 1] = 1.0
     return agg
@@ -133,18 +136,18 @@ def forward(
     """Return (start_logits, end_logits); length = lines in line mode, words
     in word mode.  Dropout applies to BLSTM inputs only, training mode only."""
     cfg = model.config
-    if not document.words or not question:
-        raise ValueError("document and question must be non-empty")
+    if not question:
+        raise ValueError("question must be non-empty")
     if training and cfg.dropout_rate > 0.0 and rng is None:
         raise ValueError("training with dropout requires an explicit rng")
 
     def drop(x: Tensor) -> Tensor:
         return dropout(x, cfg.dropout_rate, rng, training)
 
-    ctx = unpack_phocs(document_rows(document))
+    ctx = unpack_phocs(document.rows)
     if cfg.mode == "line":
-        pe = [line_positional_encoding(w.line_index, cfg.pos_dim) for w in document.words]
-        ctx = np.concatenate([ctx, np.stack(pe)], axis=1)
+        pe = np.stack([line_positional_encoding(line, cfg.pos_dim) for line in range(document.num_lines)])
+        ctx = np.concatenate([ctx, pe[document.word_lines]], axis=1)
     ctx_in = drop(Tensor(ctx))
     q_in = drop(Tensor(np.stack(question)))
     H = blstm_matrix(ctx_in, model.ctx_enc)  # T x 2h
@@ -202,7 +205,7 @@ def predict(document: Document, question: list[np.ndarray], model: BidafModel) -
 
 def _gold_span(question: Question, document: Document, mode: str) -> tuple[int, int]:
     span = question.gold_line_span if mode == "line" else question.gold_word_span
-    limit = document.num_lines if mode == "line" else len(document.words)
+    limit = document.num_lines if mode == "line" else len(document)
     if not (0 <= span[0] <= span[1] < limit):
         raise ValueError(f"question {question.question_id!r}: gold span {span} out of range")
     return span

@@ -58,7 +58,7 @@ def _qa_backend(backend: str, checkpoint: str | None):
 def cmd_validate(args) -> int:
     try:
         collection = load_collection(args.collection)
-    except (ValueError, KeyError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"invalid collection: {e}", file=sys.stderr)
         return 1
     print(f"ok: {len(collection)} documents")
@@ -144,11 +144,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="phocqa")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, questions=False, backend=False):
+    def common(p, questions=False, backend=False, k=True):
         p.add_argument("--collection", required=True)
         if questions:
             p.add_argument("--questions", required=True)
-        p.add_argument("--k", type=int, default=5)
+        if k:
+            p.add_argument("--k", type=int, default=5)
         p.add_argument("--flip-rate", dest="flip_rate", type=float, default=0.0)
         p.add_argument("--seed", type=int, default=42)
         if backend:
@@ -177,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_retrieve)
 
     p = sub.add_parser("train", help="train a BiDAF model")
-    common(p, questions=True)
+    common(p, questions=True, k=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--mode", choices=("line", "word"), default="line")

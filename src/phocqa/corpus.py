@@ -1,10 +1,14 @@
 """Data model and ingestion for word/line-segmented document collections.
 
-A document is an ordered word sequence with line membership; every word
-carries the PHOC of its transcription as one packed 512-bit row of uint64
-words, and that row is the only PHOC a collection stores.  Recognition
-noise (the "predicted PHOC" condition) is simulated by independent
-Bernoulli bit flips on the document-side rows; query vectors stay exact.
+A document is an ordered word sequence with line membership.  Its PHOCs
+live in one read-only table of packed 512-bit rows (PACKED_WORDS uint64
+words each) plus a token-to-row map: load_collection and synth.generate
+give every document of a collection the same table, one row per distinct
+word, and corrupt_collection gives each document a table of its own, one
+row per token.  Word objects are views built on demand by Document.words.
+Recognition noise (the "predicted PHOC" condition) is simulated by
+independent Bernoulli bit flips on the document-side rows; query vectors
+stay exact.
 
 For scoring, a collection is held as a packed index: each distinct word
 row once, plus a token-to-row map and per-document offsets.  The packing
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -26,6 +30,8 @@ import numpy as np
 from .phoc import PHOC_DIM, normalize_token, phoc_encode
 from .stopwords import NORMALIZED_STOPWORDS
 
+BBox = tuple[float, float, float, float]
+
 
 @dataclass(frozen=True, slots=True)
 class Word:
@@ -33,7 +39,7 @@ class Word:
     line_index: int
     transcription: str
     packed: np.ndarray  # (PACKED_WORDS,) uint64, read-only; layout as in PackedIndex
-    bbox: tuple[float, float, float, float] | None = None
+    bbox: BBox | None = None
 
     @property
     def phoc(self) -> np.ndarray:
@@ -48,18 +54,88 @@ class Line:
     end_word: int  # inclusive
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Document:
+    """Token i has transcription transcriptions[i] and the PHOC in row
+    token_row[i] of `table`, and lies on the line whose span holds i.
+
+    The constructor checks everything once and makes both arrays read-only;
+    a malformed document raises ValueError naming it.
+    """
+
     doc_id: str
-    words: tuple[Word, ...]
-    lines: tuple[Line, ...]
+    transcriptions: tuple[str, ...]
+    lines: tuple[Line, ...]  # in line_index order, partitioning the tokens
+    table: np.ndarray  # (R, PACKED_WORDS) uint64, C-contiguous packed rows
+    token_row: np.ndarray  # (n,) intp, the table row of each token
+    bboxes: tuple[BBox | None, ...] | None = None  # None: no token has one
+
+    def __post_init__(self) -> None:
+        where = f"document {self.doc_id!r}"
+        n, table, token_row = len(self.transcriptions), self.table, self.token_row
+        if n == 0:
+            raise ValueError(f"{where} is empty")
+        if not (
+            isinstance(table, np.ndarray) and table.dtype == np.uint64 and table.ndim == 2
+            and table.shape[1] == PACKED_WORDS and table.flags.c_contiguous
+        ):
+            raise ValueError(f"{where}: PHOC table is not a C-contiguous (rows, {PACKED_WORDS}) uint64 array")
+        if not (isinstance(token_row, np.ndarray) and token_row.dtype == np.intp and token_row.shape == (n,)):
+            raise ValueError(f"{where}: token map is not a ({n},) intp array")
+        if token_row.min() < 0 or token_row.max() >= len(table):
+            raise ValueError(f"{where}: token map points outside its {len(table)}-row PHOC table")
+        padded = (table.view(np.uint8)[:, _PHOC_BYTES] != 0)[token_row]
+        if padded.any():
+            raise ValueError(f"{where}: PHOC of word {int(np.argmax(padded))} has padding bits set")
+        expected_start = 0
+        for pos, ln in enumerate(self.lines):
+            if ln.line_index != pos:
+                raise ValueError(
+                    f"{where}: line_index {ln.line_index} at position {pos} "
+                    "(line indices must be 0-based and consecutive)"
+                )
+            if ln.start_word != expected_start or ln.end_word < ln.start_word:
+                raise ValueError(f"{where}: line {ln.line_index} span invalid or overlapping")
+            expected_start = ln.end_word + 1
+        if expected_start != n:
+            raise ValueError(f"{where}: line spans do not cover all words")
+        if self.bboxes is not None and len(self.bboxes) != n:
+            raise ValueError(f"{where}: {len(self.bboxes)} bboxes for {n} words")
+        table.flags.writeable = False
+        token_row.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.transcriptions)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The (n, PACKED_WORDS) packed rows of the tokens, in order."""
+        return self.table[self.token_row]
+
+    @cached_property
+    def word_lines(self) -> np.ndarray:
+        """The (n,) line index of each token."""
+        lines = np.repeat(np.arange(len(self.lines)), [ln.end_word - ln.start_word + 1 for ln in self.lines])
+        lines.flags.writeable = False
+        return lines
+
+    @property
+    def words(self) -> tuple[Word, ...]:
+        """A Word view of every token, built on each call."""
+        bboxes = self.bboxes or (None,) * len(self)
+        return tuple(
+            Word(i, line, text, self.table[row], bbox)
+            for i, (line, text, row, bbox) in enumerate(
+                zip(self.word_lines.tolist(), self.transcriptions, self.token_row.tolist(), bboxes)
+            )
+        )
 
     @property
     def num_lines(self) -> int:
         return len(self.lines)
 
     def line_of_word(self, word_index: int) -> int:
-        return self.words[word_index].line_index
+        return int(self.word_lines[word_index])
 
     def word_ids_of_lines(self, start_line: int, end_line: int) -> set[int]:
         """All word indices on lines start_line..end_line inclusive."""
@@ -141,80 +217,32 @@ def pack_phocs(vectors: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return packed, np.bitwise_count(packed).sum(axis=1)
 
 
-def pack_phoc(vector: np.ndarray) -> np.ndarray:
-    """The read-only (PACKED_WORDS,) packed row of one binary PHOC vector."""
-    row = pack_phocs([vector])[0][0]
-    row.flags.writeable = False
-    return row
-
-
 def unpack_phocs(rows: np.ndarray) -> np.ndarray:
     """Packed rows (..., PACKED_WORDS) as float64 0/1 PHOCs (..., PHOC_DIM)."""
     bits = np.unpackbits(rows.view(np.uint8), axis=-1, count=PHOC_DIM, bitorder="little")
     return bits.astype(np.float64)
 
 
-def _stack_rows(rows: Sequence[np.ndarray]) -> tuple[np.ndarray | None, tuple[int, str] | None]:
-    """Stack packed rows into one (n, PACKED_WORDS) array; also return the
-    position of the first malformed row and what is wrong with it, or None.
-    The check runs once over the stacked rows; only a failure looks at the
-    rows one by one, to name the culprit."""
-    try:
-        stacked = np.array(rows) if rows else np.empty((0, PACKED_WORDS), dtype=np.uint64)
-    except ValueError:  # rows of different shapes
-        stacked = None
-    if stacked is None or stacked.shape != (len(rows), PACKED_WORDS) or stacked.dtype != np.uint64:
-        bad = next(
-            i for i, r in enumerate(rows)
-            if not (isinstance(r, np.ndarray) and r.shape == (PACKED_WORDS,) and r.dtype == np.uint64)
-        )
-        return None, (bad, f"is not a ({PACKED_WORDS},) uint64 row")
-    padded = stacked.view(np.uint8)[:, _PHOC_BYTES] != 0
-    if padded.any():
-        return None, (int(np.argmax(padded)), "has padding bits set")
-    return stacked, None
-
-
-def document_rows(document: Document) -> np.ndarray:
-    """The (n, PACKED_WORDS) packed rows of a document's words, in order.
-
-    An empty document, or a row that is not a (PACKED_WORDS,) uint64 row or
-    has a padding bit set, raises ValueError naming the document and word.
-    """
-    if not document.words:
-        raise ValueError(f"document {document.doc_id!r} is empty")
-    rows, bad = _stack_rows([w.packed for w in document.words])
-    if bad is not None:
-        word = document.words[bad[0]].word_index
-        raise ValueError(f"document {document.doc_id!r}: PHOC of word {word} {bad[1]}")
-    return rows
+def phoc_table(texts: Iterable[str]) -> np.ndarray:
+    """The (len(texts), PACKED_WORDS) packed rows of phoc_encode of each
+    normalized text, in order."""
+    phocs = np.array([phoc_encode(t) for t in texts]).reshape(-1, PHOC_DIM)
+    return _pack_bits(phocs == 1.0)
 
 
 def build_index(documents: Sequence[Document]) -> PackedIndex:
     """Stack the packed rows of `documents`, in order, into one index.
 
-    Types are deduplicated by content, so tokens that share a transcription
-    share a type and so do equal rows on a corrupted collection.  Tokens
-    that hold the same row object (load_collection's shared rows) are
-    stacked once.  An empty document or a malformed row raises ValueError
-    naming the document and word, as document_rows does.
+    Each distinct table is stacked once, however many documents share it,
+    and types are deduplicated by content, so tokens that share a
+    transcription share a type and so do equal rows on a corrupted
+    collection.
     """
-    for doc in documents:
-        if not doc.words:
-            raise ValueError(f"document {doc.doc_id!r} is empty")
-    offsets = np.cumsum([0] + [len(doc.words) for doc in documents], dtype=np.intp)[:-1]
-    words = [w for doc in documents for w in doc.words]
-    # Each row object stacked once, in the order the objects are first seen.
-    ids = np.fromiter((id(w.packed) for w in words), dtype=np.uint64, count=len(words))
-    _, first, token_object = np.unique(ids, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    token_row = np.argsort(order)[token_object]
-    first = first[order]
-    rows, bad = _stack_rows([words[t].packed for t in first])
-    if bad is not None:
-        token = int(first[bad[0]])  # first token holding the row
-        doc = documents[int(np.searchsorted(offsets, token, side="right")) - 1]
-        raise ValueError(f"document {doc.doc_id!r}: PHOC of word {words[token].word_index} {bad[1]}")
+    offsets = np.cumsum([0] + [len(doc) for doc in documents], dtype=np.intp)[:-1]
+    tables = {id(doc.table): doc.table for doc in documents}  # in first-seen order
+    first = dict(zip(tables, np.cumsum([0] + [len(t) for t in tables.values()]).tolist()))
+    token_row = [np.empty(0, dtype=np.intp)] + [doc.token_row + first[id(doc.table)] for doc in documents]
+    rows = np.concatenate([np.empty((0, PACKED_WORDS), dtype=np.uint64)] + list(tables.values()))
     # Rows viewed as opaque 64-byte records: np.unique sorts these far faster
     # than it sorts rows with axis=0.
     records, row_type = np.unique(rows.view(_ROW_RECORD).ravel(), return_inverse=True)
@@ -222,7 +250,7 @@ def build_index(documents: Sequence[Document]) -> PackedIndex:
     return PackedIndex(
         types=types,
         counts=np.bitwise_count(types).sum(axis=0),
-        token_type=row_type[token_row],
+        token_type=row_type[np.concatenate(token_row)],
         offsets=offsets,
         doc_ids=tuple(doc.doc_id for doc in documents),
     )
@@ -232,9 +260,9 @@ def document_index(document: Document) -> PackedIndex:
     """The packed index of one document with a type per token, in order.
 
     Unlike build_index it does not deduplicate, which for a single document
-    costs more than the duplicates it would save.  Raises as document_rows.
+    costs more than the duplicates it would save.
     """
-    rows = document_rows(document)
+    rows = document.rows
     return PackedIndex(
         types=np.ascontiguousarray(rows.T),
         counts=np.bitwise_count(rows).sum(axis=1),
@@ -272,7 +300,7 @@ def _line(raw, where: str) -> Line:
     return Line(*values)
 
 
-def _bbox(raw, where: str, pos: int) -> tuple[float, float, float, float]:
+def _bbox(raw, where: str, pos: int) -> BBox:
     if not (
         isinstance(raw, list) and len(raw) == 4
         and all(type(x) in (int, float) and math.isfinite(x) for x in raw)
@@ -281,38 +309,19 @@ def _bbox(raw, where: str, pos: int) -> tuple[float, float, float, float]:
     return tuple(raw)
 
 
-def _build_document(
-    entry, position: int, word_types: dict[str, tuple[str, np.ndarray]], encode: Callable[[str], np.ndarray]
-) -> Document:
-    """One validated Document from its JSON entry.  `word_types` maps each
-    raw text seen so far to its transcription and packed row, so a text is
-    checked, normalized and encoded only the first time it is seen."""
+def _parse_document(entry, position: int, word_types: dict[str, tuple[str, int]], rows: dict[str, int]):
+    """The Document fields of one JSON entry, and the line index its file
+    gives each word.  Line spans are left to Document to check.
+    `word_types` maps each raw text seen so far to its transcription and
+    table row, and `rows` each transcription to its row, so a text is
+    checked and normalized only the first time it is seen."""
     doc_id = entry.get("doc_id") if isinstance(entry, dict) else None
     if not isinstance(doc_id, str):
         raise ValueError(f"document {position}: field 'doc_id' must be a string, not {doc_id!r}")
     where = f"document {doc_id!r}"
     raw_words = _list_field(entry, "words", where)
-    raw_lines = _list_field(entry, "lines", where)
-    if not raw_words:
-        raise ValueError(f"{where}: empty document")
-    lines = tuple(sorted((_line(ln, where) for ln in raw_lines), key=lambda ln: ln.line_index))
-    for pos, ln in enumerate(lines):
-        if ln.line_index != pos:
-            raise ValueError(
-                f"{where}: line_index {ln.line_index} at position {pos} "
-                "(line indices must be 0-based and consecutive)"
-            )
-    # Line spans must partition the word sequence in order.
-    expected_start = 0
-    for ln in lines:
-        if ln.start_word != expected_start or ln.end_word < ln.start_word:
-            raise ValueError(f"{where}: line {ln.line_index} span invalid or overlapping")
-        expected_start = ln.end_word + 1
-    if expected_start != len(raw_words):
-        raise ValueError(f"{where}: line spans do not cover all words")
-    line_of = [ln.line_index for ln in lines for _ in range(ln.start_word, ln.end_word + 1)]
-
-    words = []
+    lines = sorted((_line(ln, where) for ln in _list_field(entry, "lines", where)), key=lambda ln: ln.line_index)
+    transcriptions, token_row, word_lines, bboxes = [], [], [], []
     pos = 0
     try:
         for pos, w in enumerate(raw_words):
@@ -322,57 +331,57 @@ def _build_document(
                     f"{where}: word_index {idx!r} at position {pos} "
                     "(indices must be 0-based and consecutive)"
                 )
-            if line != line_of[pos] or type(line) is not int:
-                raise ValueError(f"{where}: word_index {pos} has line_index {line!r} but lies on line {line_of[pos]}")
+            if type(line) is not int:
+                raise ValueError(f"{where}: word_index {pos} has line_index {line!r}, not an integer")
             try:
-                text, packed = word_types[raw]
+                text, row = word_types[raw]
             except (KeyError, TypeError):  # a new text, or not a string at all
                 if not isinstance(raw, str):
                     raise ValueError(f"{where}: word {pos} field 'text' must be a string, not {raw!r}") from None
                 text = normalize_token(raw)
-                text, packed = word_types[raw] = (text, encode(text))
+                text, row = word_types[raw] = (text, rows.setdefault(text, len(rows)))
             bbox = w.get("bbox")
-            if bbox is not None:
-                bbox = _bbox(bbox, where, pos)
-            words.append(Word(idx, line, text, packed, bbox))
+            transcriptions.append(text)
+            token_row.append(row)
+            word_lines.append(line)
+            bboxes.append(None if bbox is None else _bbox(bbox, where, pos))
     except KeyError as e:
         raise ValueError(f"{where}: word {pos} has no field {e.args[0]!r}") from None
     except TypeError:
         raise ValueError(f"{where}: word {pos} is not an object") from None
-    return Document(doc_id, tuple(words), lines)
-
-
-def shared_encoder() -> Callable[[str], np.ndarray]:
-    """Packs phoc_encode of each distinct word once and hands every later
-    caller the same read-only row."""
-    encoded: dict[str, np.ndarray] = {}
-
-    def encode(text: str) -> np.ndarray:
-        row = encoded.get(text)
-        if row is None:
-            row = encoded[text] = pack_phoc(phoc_encode(text))
-        return row
-
-    return encode
+    boxed = tuple(bboxes) if bboxes.count(None) < len(bboxes) else None
+    return doc_id, tuple(transcriptions), tuple(lines), np.array(token_row, dtype=np.intp), boxed, word_lines
 
 
 def load_collection(path: str | Path) -> Collection:
     """Load and fully validate a collection JSON file; PHOCs are computed
-    and packed here, once per distinct word.  A malformed collection raises
-    ValueError naming the document and field."""
+    and packed here, once per distinct word, into one table that every
+    document shares.  A malformed collection raises ValueError naming the
+    document and field."""
     with open(path, encoding="utf-8") as f:
         data = json.load(f)
     if not isinstance(data, dict):
         raise ValueError(f"collection must be a JSON object, not {type(data).__name__}")
     entries = _list_field(data, "documents", "top level")
-    encode = shared_encoder()
-    word_types: dict[str, tuple[str, np.ndarray]] = {}
-    documents: dict[str, Document] = {}
+    word_types: dict[str, tuple[str, int]] = {}
+    rows: dict[str, int] = {}
+    parsed = {}
     for position, entry in enumerate(entries):
-        doc = _build_document(entry, position, word_types, encode)
-        if doc.doc_id in documents:
-            raise ValueError(f"duplicate doc_id {doc.doc_id!r}")
-        documents[doc.doc_id] = doc
+        doc_id, *fields = _parse_document(entry, position, word_types, rows)
+        if doc_id in parsed:
+            raise ValueError(f"duplicate doc_id {doc_id!r}")
+        parsed[doc_id] = fields
+    table = phoc_table(rows)
+    documents = {}
+    for doc_id, (transcriptions, lines, token_row, bboxes, word_lines) in parsed.items():
+        doc = documents[doc_id] = Document(doc_id, transcriptions, lines, table, token_row, bboxes)
+        expected = doc.word_lines.tolist()
+        if word_lines != expected:
+            pos = next(i for i, (got, want) in enumerate(zip(word_lines, expected)) if got != want)
+            raise ValueError(
+                f"document {doc_id!r}: word_index {pos} has line_index {word_lines[pos]} "
+                f"but lies on line {expected[pos]}"
+            )
     collection = Collection(documents)
     collection.index  # built while loading, not by the first query
     return collection
@@ -440,7 +449,7 @@ def load_questions(path: str | Path, collection: Collection) -> list[Question]:
         if doc is None:
             raise ValueError(f"{where}: unknown gold_doc_id {q['gold_doc_id']!r}")
         span = (q["gold_start_word"], q["gold_end_word"])
-        if not (0 <= span[0] <= span[1] < len(doc.words)):
+        if not (0 <= span[0] <= span[1] < len(doc)):
             raise ValueError(f"{where}: gold span {span} outside document {doc.doc_id!r}")
         try:
             tokens = tuple(query_tokens(q["text"]))
@@ -495,45 +504,24 @@ def preprocess_query(text: str) -> tuple[list[str], list[np.ndarray]]:
     return kept, [phoc_encode(t) for t in kept]
 
 
-def _check_flip_rate(flip_rate: float) -> None:
-    if not 0.0 <= flip_rate <= 1.0:
-        raise ValueError(f"flip_rate {flip_rate} outside [0, 1]")
-
-
-def corrupt_phoc(v: np.ndarray, flip_rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Flip each bit of a binary PHOC, or of a matrix of PHOC rows,
-    independently with probability flip_rate."""
-    _check_flip_rate(flip_rate)
-    if v.shape[-1:] != (PHOC_DIM,):
-        raise ValueError(f"PHOC vectors must have length {PHOC_DIM}")
-    if not np.all((v == 0.0) | (v == 1.0)):
-        raise ValueError("corrupt_phoc expects a binary vector")
-    flips = rng.random(v.shape) < flip_rate
-    return np.abs(v - flips.astype(np.float64))
-
-
 def corrupt_collection(collection: Collection, flip_rate: float, rng: np.random.Generator) -> Collection:
     """Corrupt every word PHOC in the collection; deterministic given the rng seed.
 
     Documents are visited in sorted doc_id order so the result does not depend
-    on dict insertion order.  Each document's flips are drawn as corrupt_phoc
-    draws them for its stacked rows, so the result equals corrupting word by
-    word, and are applied to the packed rows as an XOR.
+    on dict insertion order.  Each document's flips are drawn as one
+    (tokens, PHOC_DIM) block of rng.random, so the result equals flipping
+    word by word in token order, and are applied to its packed rows as an
+    XOR; the noisy document owns its table, one row per token.
     """
-    _check_flip_rate(flip_rate)
+    if not 0.0 <= flip_rate <= 1.0:
+        raise ValueError(f"flip_rate {flip_rate} outside [0, 1]")
     if flip_rate == 0.0:
         return collection
     documents = {}
     for doc in collection.ordered():
-        clean = document_rows(doc)
+        clean = doc.rows
         noisy = clean ^ _pack_bits(rng.random((len(clean), PHOC_DIM)) < flip_rate)
-        noisy.flags.writeable = False
-        # the constructor, not dataclasses.replace, which costs several
-        # times more per word
-        words = tuple(
-            Word(w.word_index, w.line_index, w.transcription, row, w.bbox) for w, row in zip(doc.words, noisy)
-        )
-        documents[doc.doc_id] = replace(doc, words=words)
+        documents[doc.doc_id] = replace(doc, table=noisy, token_row=np.arange(len(clean)))
     noisy = Collection(documents)
     noisy.index  # built while corrupting, not by the first query
     return noisy

@@ -79,7 +79,7 @@ def build_boxes(
 ) -> AnswerBoxes:
     """SB = gold words; LB = words of the gold lines plus one adjacent line on
     each side (clamped); AB = words of the predicted lines."""
-    if not (0 <= gold_word_span[0] <= gold_word_span[1] < len(document.words)):
+    if not (0 <= gold_word_span[0] <= gold_word_span[1] < len(document)):
         raise ValueError(f"gold word span {gold_word_span} invalid for {document.doc_id!r}")
     if not (0 <= predicted_line_span[0] <= predicted_line_span[1] < document.num_lines):
         raise ValueError(f"predicted line span {predicted_line_span} invalid for {document.doc_id!r}")

@@ -14,15 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import (
-    Collection,
-    Document,
-    Line,
-    Question,
-    Word,
-    query_tokens,
-    shared_encoder,
-)
+from .corpus import Collection, Document, Line, Question, phoc_table, query_tokens
 from .stopwords import NORMALIZED_STOPWORDS
 
 _LETTERS = np.array(list(string.ascii_lowercase))
@@ -116,20 +108,13 @@ def generate(spec: GeneratorSpec) -> tuple[Collection, list[Question]]:
             words[start + offset] = marker
         questions_raw.append((f"q_{qi:04d}", markers, gold_id, (start, start + m - 1)))
 
-    encode = shared_encoder()
+    rows: dict[str, int] = {}  # word -> its row of the shared table, in first-seen order
+    token_rows = {did: [rows.setdefault(t, len(rows)) for t in grids[did]] for did in doc_ids}
+    table = phoc_table(rows)
     documents = {}
     for did in doc_ids:
-        word_line = {}
-        lines = []
-        for li, (s, e) in enumerate(line_spans[did]):
-            lines.append(Line(li, s, e))
-            for wi in range(s, e + 1):
-                word_line[wi] = li
-        words = tuple(
-            Word(wi, word_line[wi], text, encode(text))
-            for wi, text in enumerate(grids[did])
-        )
-        documents[did] = Document(did, words, tuple(lines))
+        lines = tuple(Line(li, s, e) for li, (s, e) in enumerate(line_spans[did]))
+        documents[did] = Document(did, tuple(grids[did]), lines, table, np.array(token_rows[did], dtype=np.intp))
     collection = Collection(documents)
 
     questions = []

@@ -1,12 +1,9 @@
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from phocqa.corpus import Collection, Document, Line, Word, pack_phoc
-from phocqa.phoc import phoc_encode
+from phocqa.corpus import Collection, Document, Line, phoc_table
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
 
@@ -17,24 +14,22 @@ def random_word(rng: np.random.Generator, min_len: int = 1, max_len: int = 12) -
 
 
 def make_document(doc_id: str, lines_of_words: list[list[str]]) -> Document:
-    """Build a validated Document of packed words from a nested list of word strings."""
-    words = []
+    """Build a validated Document, one table row per word, from a nested list of word strings."""
+    words = [w for line_words in lines_of_words for w in line_words]
     lines = []
-    idx = 0
+    start = 0
     for li, line_words in enumerate(lines_of_words):
-        start = idx
-        for w in line_words:
-            words.append(Word(idx, li, w, pack_phoc(phoc_encode(w))))
-            idx += 1
-        lines.append(Line(li, start, idx - 1))
-    return Document(doc_id, tuple(words), tuple(lines))
+        lines.append(Line(li, start, start + len(line_words) - 1))
+        start += len(line_words)
+    return Document(doc_id, tuple(words), tuple(lines), phoc_table(words), np.arange(len(words)))
 
 
-def with_bit_set(word: Word, bit: int) -> Word:
-    """`word` with bit `bit` of its packed row set; bits 504-511 are padding."""
-    row = word.packed.copy()
-    row.view(np.uint8)[bit // 8] |= np.uint8(1 << bit % 8)
-    return replace(word, packed=row)
+def rows_with_bit_set(document: Document, word: int, bit: int) -> np.ndarray:
+    """A fresh copy of `document`'s rows, one per token, with bit `bit` of
+    word `word` set; bits 504-511 are padding."""
+    rows = document.rows
+    rows.view(np.uint8)[word, bit // 8] |= np.uint8(1 << bit % 8)
+    return rows
 
 
 def make_collection(docs: dict[str, list[list[str]]]) -> Collection:

@@ -2,8 +2,9 @@
 
 These are written against the definitions directly and deliberately share
 no code with the library: occupancy-rule PHOC bits, nested-loop max/mean
-document scoring, set-arithmetic DIS, the unblocked per-tensor ADADELTA
-update and the double-loop constrained span argmax.
+document scoring, set-arithmetic DIS, per-word PHOC bit flips, the
+unblocked per-tensor ADADELTA update and the double-loop constrained span
+argmax.
 """
 
 from __future__ import annotations
@@ -56,6 +57,19 @@ def dis_reference(sb: set, lb: set, ab: set) -> float:
     if not ab:
         return 0.0
     return (len(ab & sb) / len(sb)) * (len(ab & lb) / len(ab))
+
+
+def corrupt_phoc(v: np.ndarray, flip_rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Flip each bit of a binary PHOC, or of a matrix of PHOC rows,
+    independently with probability flip_rate."""
+    if not 0.0 <= flip_rate <= 1.0:
+        raise ValueError(f"flip_rate {flip_rate} outside [0, 1]")
+    if v.shape[-1:] != (len(ORACLE_ALPHABET) * sum(ORACLE_LEVELS),):
+        raise ValueError("PHOC vectors must have length 504")
+    if not np.all((v == 0.0) | (v == 1.0)):
+        raise ValueError("corrupt_phoc expects a binary vector")
+    flips = rng.random(v.shape) < flip_rate
+    return np.abs(v - flips.astype(np.float64))
 
 
 def adadelta_reference(params, state) -> None:

@@ -67,6 +67,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             BidafConfig(mode="page")
 
+    def test_phoc_dim_fixed(self):
+        # a model built for another width could only fail later, in forward
+        with pytest.raises(ValueError, match="phoc_dim must be 504, got 100"):
+            BidafConfig(phoc_dim=100)
+
 
 class TestForward:
     def test_line_mode_shapes(self, tiny_data):
@@ -92,6 +97,21 @@ class TestForward:
         start, end = bidaf.forward(doc, [doc.words[0].phoc], model)
         assert start.shape == (1,)
         assert end.shape == (1,)
+
+    def test_line_context_equals_per_word_stack(self, monkeypatch):
+        # each line's positional encoding is computed once and repeated; the
+        # context must equal the per-word stack byte for byte
+        doc = make_document("d", [["alpha", "be"], ["c"], ["dd", "e", "f"], ["g", "h"]])
+        model = BidafModel(BidafConfig(**SMALL), seed=0)
+        inputs = []
+        blstm = bidaf.blstm_matrix
+        monkeypatch.setattr(bidaf, "blstm_matrix", lambda x, p: inputs.append(x.values.copy()) or blstm(x, p))
+        bidaf.forward(doc, [doc.words[0].phoc], model)
+        pos_dim = model.config.pos_dim
+        expected = np.stack(
+            [np.concatenate([w.phoc, line_positional_encoding(w.line_index, pos_dim)]) for w in doc.words]
+        )
+        assert inputs[0].tobytes() == expected.tobytes()
 
     def test_singleton_line_aggregation_is_identity(self):
         # one word per line: summing by line membership changes nothing
@@ -349,8 +369,12 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize(
         "edit, name",
-        [(lambda meta: meta["config"].update(depth=3), "'depth'"), (lambda meta: meta.pop("config"), "'config'")],
-        ids=["unknown-field", "no-config"],
+        [
+            (lambda meta: meta["config"].update(depth=3), "'depth'"),
+            (lambda meta: meta.pop("config"), "'config'"),
+            (lambda meta: meta["config"].update(phoc_dim=100), "phoc_dim"),
+        ],
+        ids=["unknown-field", "no-config", "phoc-dim"],
     )
     def test_rejects_bad_config(self, tiny_data, tmp_path, edit, name):
         path = self._saved(tiny_data, tmp_path)

@@ -147,6 +147,20 @@ class TestTrainAnswerEval:
         assert rc == 0
         assert ckpt.exists()
 
+    def test_train_takes_no_k(self, corpus_dir, tmp_path, capsys):
+        # training reads no ranking, so --k would be silently ignored
+        with pytest.raises(SystemExit):
+            main(
+                [
+                    "train",
+                    "--collection", str(corpus_dir / "collection.json"),
+                    "--questions", str(corpus_dir / "questions.json"),
+                    "--checkpoint", str(tmp_path / "k.ckpt"),
+                    "--k", "3",
+                ]
+            )
+        assert "unrecognized arguments: --k 3" in capsys.readouterr().err
+
     def test_same_seed_same_checkpoint(self, corpus_dir, tmp_path):
         outs = []
         for name in ("a.ckpt", "b.ckpt"):

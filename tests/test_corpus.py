@@ -1,22 +1,27 @@
 import gc
 import json
+import math
+import re
 import types
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from phocqa import corpus
 from phocqa.corpus import (
     PACKED_WORDS,
     Collection,
+    Document,
+    Line,
     Word,
     corrupt_collection,
-    corrupt_phoc,
     load_collection,
     load_questions,
-    pack_phoc,
     pack_phocs,
+    phoc_table,
     preprocess_query,
     write_collection,
     write_questions,
@@ -25,7 +30,8 @@ from phocqa.phoc import PHOC_DIM, phoc_encode
 from phocqa.stopwords import NORMALIZED_STOPWORDS, STOPWORDS
 from phocqa.synth import GeneratorSpec, generate
 
-from conftest import make_collection, random_word, with_bit_set
+from conftest import make_collection, random_word, rows_with_bit_set
+from oracles import corrupt_phoc
 
 VALID = {
     "documents": [
@@ -136,11 +142,11 @@ class TestLoadCollection:
         data = json.loads(json.dumps(VALID))
         data["documents"][1]["words"][0]["text"] = "Dear"
         c = load_collection(write_json(tmp_path, data))
-        shared = c["a"].words[0].packed
-        assert c["b"].words[0].packed is shared
-        assert c["a"].words[1].packed is not shared
-        assert not shared.flags.writeable
-        np.testing.assert_array_equal(c["b"].words[0].phoc, phoc_encode("dear"))
+        a, b = c["a"], c["b"]
+        assert b.table is a.table and len(a.table) == 3  # dear, sir, thanks
+        assert b.token_row[0] == a.token_row[0] != a.token_row[1]
+        assert not a.table.flags.writeable and not a.token_row.flags.writeable
+        np.testing.assert_array_equal(b.words[0].phoc, phoc_encode("dear"))
 
     @pytest.mark.parametrize("mutate, message", MALFORMED.values(), ids=MALFORMED.keys())
     def test_malformed_field_named(self, tmp_path, mutate, message):
@@ -185,6 +191,110 @@ class TestLoadCollection:
             for a, b in zip(doc.words, other.words):
                 np.testing.assert_array_equal(a.phoc, b.phoc)
         assert load_questions(qpath, reloaded) == questions
+
+
+MUTABLE = {
+    "documents": VALID["documents"] + [
+        {
+            "doc_id": "c",
+            "lines": [
+                {"line_index": 0, "start_word": 0, "end_word": 0},
+                {"line_index": 1, "start_word": 1, "end_word": 2},
+                {"line_index": 2, "start_word": 3, "end_word": 3},
+            ],
+            "words": [
+                {"word_index": 0, "line_index": 0, "text": "Sir", "bbox": [0, 0, 5, 5]},
+                {"word_index": 1, "line_index": 1, "text": "yours", "bbox": [0.5, 6, 9, 12]},
+                {"word_index": 2, "line_index": 1, "text": "truly"},
+                {"word_index": 3, "line_index": 2, "text": "J."},
+            ],
+        }
+    ]
+}
+VALUES_BY_TYPE = {
+    type(None): st.none(),
+    bool: st.booleans(),
+    int: st.integers(-2, 6),
+    float: st.floats(),
+    str: st.text(max_size=3),
+    list: st.lists(st.integers(0, 3), max_size=4),
+}
+
+
+def field_locations(data) -> list[tuple[dict, str]]:
+    """(object, key) of every field of every document, line and word that
+    is still an object after earlier mutations."""
+    found = []
+    for doc in data["documents"]:
+        if isinstance(doc, dict):
+            found += [(doc, key) for key in doc]
+            for part in ("lines", "words"):
+                items = doc.get(part)
+                if isinstance(items, list):
+                    found += [(item, key) for item in items if isinstance(item, dict) for key in item]
+    return found
+
+
+def assert_document_invariants(doc: Document) -> None:
+    n = len(doc)
+    assert n > 0 and len(doc.token_row) == n and all(type(t) is str for t in doc.transcriptions)
+    assert 0 <= doc.token_row.min() and doc.token_row.max() < len(doc.table)
+    assert not doc.table.view(np.uint8)[:, 63].any()
+    assert [ln.line_index for ln in doc.lines] == list(range(doc.num_lines))
+    assert [ln.start_word for ln in doc.lines] == [0] + [ln.end_word + 1 for ln in doc.lines[:-1]]
+    assert doc.lines[-1].end_word == n - 1
+    for w in doc.words:
+        line = doc.lines[w.line_index]
+        assert line.start_word <= w.word_index <= line.end_word
+        assert w.bbox is None or (len(w.bbox) == 4 and all(math.isfinite(x) for x in w.bbox))
+
+
+class TestLoadMutatedCollection:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_loads_valid_collection_or_names_the_fault(self, tmp_path_factory, data):
+        """Mutations delete, retype or set a field, shift an integer (a word
+        or line index, or a line span's end) or put a non-finite number in a
+        bbox.  The file must then load into valid documents or raise a
+        ValueError that names a document or field."""
+        collection = json.loads(json.dumps(MUTABLE))
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            kind = data.draw(st.sampled_from(["delete", "retype", "set", "shift", "bbox"]), label="kind")
+            target, key = data.draw(st.sampled_from(field_locations(collection)), label="field")
+            value = target[key]
+            if kind == "delete":
+                del target[key]
+            elif kind == "shift" and type(value) is int:
+                target[key] = value + data.draw(st.sampled_from([-2, -1, 1, 2]), label="shift")
+            elif kind == "bbox" and "word_index" in target:
+                box = [1.0, 2.0, 3.0, 4.0]
+                bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]), label="non-finite")
+                box[data.draw(st.integers(0, 3), label="position")] = bad
+                target["bbox"] = box
+            else:  # "set" may keep the type, "retype" may not
+                same = kind == "set"
+                values = st.one_of(*(v for t, v in VALUES_BY_TYPE.items() if same or t is not type(value)))
+                target[key] = data.draw(values, label="value")
+        path = tmp_path_factory.mktemp("mutated") / "collection.json"
+        path.write_text(json.dumps(collection))
+        try:
+            loaded = load_collection(path)
+        except ValueError as e:
+            event("rejected")
+            assert re.search(r"document|field|doc_id", str(e)), str(e)
+        else:
+            event("loaded")
+            docs = loaded.ordered()
+            for doc in docs:
+                assert_document_invariants(doc)
+            assert len(loaded.index.token_type) == sum(len(d) for d in docs)
+            for entry in collection["documents"]:  # what loaded must agree with the file
+                words = loaded[entry["doc_id"]].words
+                assert [(w["word_index"], w["line_index"]) for w in entry["words"]] == [
+                    (w.word_index, w.line_index) for w in words
+                ]
+                texts = [corpus.normalize_token(w["text"]) for w in entry["words"]]
+                assert texts == [w.transcription for w in words]
 
 
 VALID_QUESTIONS = {
@@ -326,12 +436,13 @@ class TestCorruptCollection:
         with pytest.raises(ValueError, match="flip_rate"):
             corrupt_collection(make_collection({"d": [["one"]]}), 1.5, rng)
 
-    def test_rejects_non_binary_naming_document(self, rng):
-        c = make_collection({"d": [["one", "two"]]})
-        doc = c["d"]
-        bad = Collection({"d": replace(doc, words=(doc.words[0], with_bit_set(doc.words[1], 508)))})
-        with pytest.raises(ValueError, match="'d': PHOC of word 1 has padding bits set"):
-            corrupt_collection(bad, 0.1, rng)
+    def test_rejects_non_binary_naming_document(self):
+        # a row with padding bits cannot reach corrupt_collection: the
+        # document holding it is rejected when it is built
+        doc = make_collection({"d": [["one", "two"]]})["d"]
+        rows = rows_with_bit_set(doc, 1, 508)
+        with pytest.raises(ValueError, match="document 'd': PHOC of word 1 has padding bits set"):
+            replace(doc, table=rows)
 
 
 def test_collection_documents_read_only():
@@ -347,19 +458,19 @@ class TestPackedWords:
     def test_phoc_unpacks_phoc_encode(self, rng):
         for _ in range(500):
             text = random_word(rng, 1, 40)
-            phoc = Word(0, 0, text, pack_phoc(phoc_encode(text))).phoc
+            phoc = Word(0, 0, text, phoc_table([text])[0]).phoc
             assert phoc.dtype == np.float64 and phoc.flags.writeable
             np.testing.assert_array_equal(phoc, phoc_encode(text))
 
     def test_phoc_is_a_fresh_array(self):
-        word = Word(0, 0, "x", pack_phoc(phoc_encode("x")))
+        word = Word(0, 0, "x", phoc_table(["x"])[0])
         word.phoc[:] = 0.0
         np.testing.assert_array_equal(word.phoc, phoc_encode("x"))
 
     def test_packers_reject_non_binary(self):
         half = np.full(PHOC_DIM, 0.5)
         with pytest.raises(ValueError, match="vector 0 is not binary"):
-            pack_phoc(half)
+            pack_phocs([half])
         with pytest.raises(ValueError, match="vector 1 is not binary"):
             pack_phocs([phoc_encode("a"), half])
 
@@ -388,8 +499,7 @@ class TestPackedWords:
                 if r is not None and id(r) not in seen and not isinstance(r, (type, types.ModuleType, types.FunctionType)):
                     seen.add(id(r))
                     stack.append(r)
-        words = sum(len(doc.words) for doc in noisy.ordered())
-        assert len(arrays) > words
+        assert all(any(a is doc.table for a in arrays) for doc in noisy.ordered())
         assert all(a.dtype != np.float64 for a in arrays)
 
 
@@ -402,13 +512,54 @@ def test_loaders_build_the_index(tmp_path, rng):
 def test_index_of_shared_vectors_equals_index_of_copies():
     shared, _ = generate(GeneratorSpec(num_documents=6, num_questions=3, vocab_size=60, seed=5))
     copies = Collection({
-        d.doc_id: replace(d, words=tuple(replace(w, packed=w.packed.copy()) for w in d.words))
+        d.doc_id: replace(d, table=d.table.copy())
         for d in shared.ordered()
     })
     a, b = shared.index, copies.index
     assert a.types.shape[1] < len(a.token_type)
     for field_a, field_b in zip(vars(a).values(), vars(b).values()):
         np.testing.assert_array_equal(field_a, field_b)
+
+
+@pytest.mark.parametrize(
+    "token_row, message",
+    [
+        (np.array([0, 3]), "token map points outside its 2-row PHOC table"),
+        (np.array([-1, 0]), "token map points outside its 2-row PHOC table"),
+        (np.array([0]), r"token map is not a \(2,\) intp array"),
+        (np.array([0.0, 1.0]), r"token map is not a \(2,\) intp array"),
+        ([0, 1], r"token map is not a \(2,\) intp array"),
+    ],
+    ids=["past-end", "negative", "short", "float", "list"],
+)
+def test_malformed_token_map_named(token_row, message):
+    doc = make_collection({"d": [["one", "two"]]})["d"]
+    with pytest.raises(ValueError, match="document 'd': " + message):
+        replace(doc, token_row=token_row)
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ((Line(0, 0, 0), Line(2, 1, 1)), "line_index 2 at position 1"),
+        ((Line(0, 0, 1), Line(1, 1, 1)), "line 1 span invalid or overlapping"),
+        ((Line(0, 0, 0),), "line spans do not cover all words"),
+    ],
+    ids=["gap", "overlap", "short"],
+)
+def test_malformed_lines_named(lines, message):
+    doc = make_collection({"d": [["one"], ["two"]]})["d"]
+    with pytest.raises(ValueError, match="document 'd': " + message):
+        replace(doc, lines=lines)
+
+
+def test_document_freezes_its_arrays():
+    doc = make_collection({"d": [["one", "two"]]})["d"]
+    table, token_row = doc.rows, np.array([1, 0])
+    other = replace(doc, table=table, token_row=token_row)
+    assert other.table is table and not table.flags.writeable and not token_row.flags.writeable
+    assert [w.transcription for w in other.words] == ["one", "two"]
+    np.testing.assert_array_equal(other.rows, doc.rows[::-1])
 
 
 def test_collection_helpers():

@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phocqa.corpus import (
-    Collection, Document, Line, Word, build_index, corrupt_collection, document_index, pack_phoc, pack_phocs,
+    Collection, Document, Line, build_index, corrupt_collection, document_index, pack_phocs, unpack_phocs,
 )
 from phocqa.phoc import PHOC_DIM, phoc_encode
 from phocqa.retriever import doc_score, rank_collection, segment_maxima
 from phocqa.snippet_qa import answer_attention
 from phocqa.synth import GeneratorSpec, generate
 
-from conftest import make_collection, make_document, random_word, with_bit_set
+from conftest import make_collection, make_document, random_word, rows_with_bit_set
 from oracles import doc_score_reference
 
 word_lists = st.lists(
@@ -110,7 +110,7 @@ class TestSegmentMaxima:
     def test_all_ones_word_scores_exactly_one(self):
         # 504 set bits: a uint8 sum of the popcounts would wrap to 248
         ones = np.ones(PHOC_DIM)
-        doc = Document("d", (Word(0, 0, "x", pack_phoc(ones)),), (Line(0, 0, 0),))
+        doc = Document("d", ("x",), (Line(0, 0, 0),), pack_phocs([ones])[0], np.zeros(1, dtype=np.intp))
         assert doc_score(doc, [ones]) == 1.0
         assert rank_collection(Collection({"d": doc}), [ones], k=1)[0].score == 1.0
         assert answer_attention(doc, [ones]).confidence == 1.0
@@ -165,37 +165,32 @@ class TestRankCollection:
         oracle = sorted(((did, doc_score(c[did], query)) for did in c.documents), key=lambda t: (-t[1], t[0]))
         assert [(r.doc_id, r.score) for r in results] == oracle
 
+    # Malformed documents cannot reach the retriever: Document rejects them
+    # when it is built, naming the document.
     def test_empty_document_named(self):
-        c = Collection({"a": make_document("a", [["x"]]), "b": Document("b", (), ())})
-        with pytest.raises(ValueError, match="'b' is empty"):
-            rank_collection(c, [phoc_encode("x")], k=1)
+        with pytest.raises(ValueError, match="document 'b' is empty"):
+            Document("b", (), (), make_document("a", [["x"]]).table, np.zeros(0, dtype=np.intp))
 
     def test_non_binary_vector_named(self):
-        c = make_collection({"a": [["x"]], "b": [["y", "z"]]})
-        doc = c["b"]
-        words = (doc.words[0], with_bit_set(doc.words[1], PHOC_DIM))
-        bad = Collection({"a": c["a"], "b": replace(doc, words=words)})
-        with pytest.raises(ValueError, match="'b': PHOC of word 1 has padding bits set"):
-            rank_collection(bad, [phoc_encode("x")], k=1)
+        doc = make_document("b", [["y", "z"]])
+        rows = rows_with_bit_set(doc, 1, PHOC_DIM)
+        with pytest.raises(ValueError, match="document 'b': PHOC of word 1 has padding bits set"):
+            replace(doc, table=rows)
 
-    @pytest.mark.parametrize("malform", ["half-row", "int64", "float-phoc", "list"])
+    @pytest.mark.parametrize("malform", ["half-row", "int64", "float-phoc", "list", "strided"])
     def test_malformed_row_named(self, malform):
-        c = make_collection({"a": [["x"]], "b": [["y", "z"]]})
-        doc = c["b"]
-        row = doc.words[1].packed
-        packed = {
-            "half-row": row[:4],
-            "int64": row.astype(np.int64),
-            "float-phoc": doc.words[1].phoc,
-            "list": row.tolist(),
+        doc = make_document("b", [["y", "z"]])
+        rows = doc.rows
+        table = {
+            "half-row": np.ascontiguousarray(rows[:, :4]),
+            "int64": rows.astype(np.int64),
+            "float-phoc": unpack_phocs(rows),
+            "list": rows.tolist(),
+            "strided": np.repeat(rows, 2, axis=0)[::2],
         }[malform]
-        words = (doc.words[0], replace(doc.words[1], packed=packed))
-        bad = Collection({"a": c["a"], "b": replace(doc, words=words)})
-        message = re.escape("'b': PHOC of word 1 is not a (8,) uint64 row")
+        message = re.escape("document 'b': PHOC table is not a C-contiguous (rows, 8) uint64 array")
         with pytest.raises(ValueError, match=message):
-            rank_collection(bad, [phoc_encode("x")], k=1)
-        with pytest.raises(ValueError, match=message):
-            doc_score(bad["b"], [phoc_encode("x")])
+            replace(doc, table=table)
 
     def test_empty_collection(self):
         with pytest.raises(ValueError, match="empty collection"):

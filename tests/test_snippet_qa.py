@@ -6,7 +6,7 @@ from phocqa.phoc import phoc_encode
 from phocqa.retriever import doc_score
 from phocqa.snippet_qa import answer_attention, make_snippets
 
-from conftest import make_document, random_word, with_bit_set
+from conftest import make_document, random_word, rows_with_bit_set
 
 
 class TestMakeSnippets:
@@ -73,7 +73,8 @@ class TestAnswerAttention:
             answer_attention(make_document("d", [["a"]]), [])
 
     def test_non_binary_vector_named(self):
+        # rejected when the document is built, before answer_attention
         doc = make_document("d", [["a", "b"], ["c"]])
-        words = doc.words[:2] + (with_bit_set(doc.words[2], 511),)
-        with pytest.raises(ValueError, match="'d': PHOC of word 2 has padding bits set"):
-            answer_attention(replace(doc, words=words), [phoc_encode("a")])
+        rows = rows_with_bit_set(doc, 2, 511)
+        with pytest.raises(ValueError, match="document 'd': PHOC of word 2 has padding bits set"):
+            replace(doc, table=rows)
