@@ -4,9 +4,9 @@ span prediction with a Double Inclusion Score evaluation harness."""
 
 from .phoc import PHOC_DIM, normalize_token, phoc_encode
 from .corpus import (
+    AnswerPrediction,
     Collection,
     Document,
-    Line,
     Question,
     Word,
     load_collection,
@@ -16,7 +16,7 @@ from .corpus import (
     write_questions,
 )
 from .retriever import RetrievalResult, doc_score, rank_collection
-from .snippet_qa import AnswerPrediction, Snippet, answer_attention, make_snippets
+from .snippet_qa import answer_attention
 from .evaluation import AnswerBoxes, EvalReport, build_boxes, dis, evaluate, top_k_accuracy
 from .synth import GeneratorSpec, generate
 
@@ -26,7 +26,6 @@ __all__ = [
     "phoc_encode",
     "Collection",
     "Document",
-    "Line",
     "Word",
     "Question",
     "load_collection",
@@ -37,9 +36,7 @@ __all__ = [
     "RetrievalResult",
     "doc_score",
     "rank_collection",
-    "Snippet",
     "AnswerPrediction",
-    "make_snippets",
     "answer_attention",
     "AnswerBoxes",
     "EvalReport",

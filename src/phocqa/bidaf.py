@@ -12,11 +12,12 @@ logits at the predicted span.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .corpus import Document, Question, unpack_phocs
+from .corpus import AnswerPrediction, Document, Question, unpack_phocs
 from .neural import (
     AdadeltaState,
     Tensor,
@@ -35,7 +36,6 @@ from .neural import (
     zero_grads,
 )
 from .phoc import PHOC_DIM
-from .snippet_qa import AnswerPrediction
 
 CHECKPOINT_FORMAT = "phocqa-bidaf-v1"
 
@@ -50,16 +50,20 @@ class BidafConfig:
     max_span: int | None = None  # answer length cap; default 8 lines / 30 words
 
     def __post_init__(self):
-        if self.phoc_dim != PHOC_DIM:  # the context is always PHOC_DIM wide
+        if type(self.phoc_dim) is not int or self.phoc_dim != PHOC_DIM:  # the context is always PHOC_DIM wide
             raise ValueError(f"phoc_dim must be {PHOC_DIM}, got {self.phoc_dim!r}")
         if self.mode not in ("line", "word"):
             raise ValueError(f"mode must be 'line' or 'word', got {self.mode!r}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must lie in [0, 1)")
-        if self.pos_dim % 2 != 0:
-            raise ValueError("pos_dim must be even")
         if self.max_span is None:
             self.max_span = 8 if self.mode == "line" else 30
+        for name, least in (("hidden", 1), ("max_span", 1), ("pos_dim", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:  # exact: a bool is not an integer here
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if self.pos_dim % 2 != 0:
+            raise ValueError(f"pos_dim must be even, got {self.pos_dim}")
+        if not (type(self.dropout_rate) in (int, float) and 0.0 <= self.dropout_rate < 1.0):
+            raise ValueError(f"dropout_rate must be a real number in [0, 1), got {self.dropout_rate!r}")
 
     @property
     def context_input_dim(self) -> int:
@@ -121,8 +125,7 @@ class BidafModel:
 
 def _line_aggregation_matrix(document: Document) -> np.ndarray:
     agg = np.zeros((document.num_lines, len(document)))
-    for ln in document.lines:
-        agg[ln.line_index, ln.start_word : ln.end_word + 1] = 1.0
+    agg[document.word_lines, np.arange(len(document))] = 1.0
     return agg
 
 
@@ -304,16 +307,29 @@ def save_checkpoint(model: BidafModel, path) -> None:
         np.savez(f, **arrays)
 
 
+def _check_shape(data, key: str, shape: tuple[int, ...], config: BidafConfig) -> np.ndarray:
+    """The array of `key` in the archive, which must have `shape`."""
+    if key not in data.files:
+        raise ValueError(f"checkpoint lacks parameter key {key!r}")
+    values = data[key]
+    if values.shape != shape:
+        cfg = f"hidden={config.hidden}, pos_dim={config.pos_dim}, mode={config.mode!r}"
+        raise ValueError(f"shape mismatch for checkpoint key {key!r}: {values.shape}, but config {cfg} needs {shape}")
+    return values
+
+
 def load_checkpoint(path) -> BidafModel:
     """Load a model saved by save_checkpoint.  The archive must hold exactly
     the parameters of the model its config builds, each with its shape, and
     optimizer averages only for those parameters; anything else, a missing
-    '__meta__' key or a config field BidafConfig lacks raises ValueError
-    naming the key or field."""
+    '__meta__' key, a config field BidafConfig lacks or rejects or a
+    non-finite optimizer setting raises ValueError naming the key or field."""
     with np.load(path) as data:
         if "__meta__" not in data.files:
             raise ValueError("checkpoint lacks key '__meta__'")
         meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
+        if not isinstance(meta, dict):
+            raise ValueError("checkpoint '__meta__' is not a JSON object")
         if meta.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"unsupported checkpoint format: {meta.get('format')!r}")
         config = meta.get("config")
@@ -323,7 +339,13 @@ def load_checkpoint(path) -> BidafModel:
         for name in config:
             if name not in known:
                 raise ValueError(f"unknown config field {name!r} in checkpoint")
-        model = BidafModel(BidafConfig(**config), seed=0)
+        config = BidafConfig(**config)
+        opt = meta.get("optimizer", {})
+        if not isinstance(opt, dict):
+            raise ValueError(f"checkpoint '__meta__' field 'optimizer' must be an object, not {opt!r}")
+        # before the model is built, so a config that does not fit (a huge hidden size) allocates nothing
+        _check_shape(data, "p:ctx_enc.fwd.W", (4 * config.hidden, config.context_input_dim + config.hidden), config)
+        model = BidafModel(config, seed=0)
         params = model.parameters()
         for name in params:
             if f"p:{name}" not in data.files:
@@ -334,15 +356,15 @@ def load_checkpoint(path) -> BidafModel:
             kind, _, name = key.partition(":")
             if kind not in ("p", "eg2", "edx2") or name not in params:
                 raise ValueError(f"unknown key {key!r} in checkpoint")
-            values = data[key].astype(np.float64, order="C")  # adadelta_step sweeps flat views
-            if values.shape != params[name].values.shape:
-                raise ValueError(f"shape mismatch for checkpoint key {key!r}")
+            values = _check_shape(data, key, params[name].values.shape, config)
+            values = values.astype(np.float64, order="C")  # adadelta_step sweeps flat views
             if kind == "p":
                 params[name].values = values
             else:
                 getattr(model.optimizer, kind)[name] = values
-        opt = meta.get("optimizer", {})
-        model.optimizer.lr = opt.get("lr", model.optimizer.lr)
-        model.optimizer.rho = opt.get("rho", model.optimizer.rho)
-        model.optimizer.eps = opt.get("eps", model.optimizer.eps)
+        for name in ("lr", "rho", "eps"):
+            value = opt.get(name, getattr(model.optimizer, name))
+            if not (type(value) in (int, float) and math.isfinite(value)):
+                raise ValueError(f"optimizer field {name!r} must be a finite number, not {value!r}")
+            setattr(model.optimizer, name, value)
     return model

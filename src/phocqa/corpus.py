@@ -1,14 +1,14 @@
 """Data model and ingestion for word/line-segmented document collections.
 
-A document is an ordered word sequence with line membership.  Its PHOCs
-live in one read-only table of packed 512-bit rows (PACKED_WORDS uint64
-words each) plus a token-to-row map: load_collection and synth.generate
-give every document of a collection the same table, one row per distinct
-word, and corrupt_collection gives each document a table of its own, one
-row per token.  Word objects are views built on demand by Document.words.
-Recognition noise (the "predicted PHOC" condition) is simulated by
-independent Bernoulli bit flips on the document-side rows; query vectors
-stay exact.
+A document is a word sequence held as columns: transcriptions, a
+token-to-line column and a token-to-row map into a read-only table of
+packed 512-bit PHOC rows (PACKED_WORDS uint64 words each).  load_collection
+and synth.generate give every document of a collection the same table, one
+row per distinct word, and corrupt_collection gives each document a table
+of its own, one row per token.  Word objects are views built on demand by
+Document.words.  Recognition noise (the "predicted PHOC" condition) is
+simulated by independent Bernoulli bit flips on the document-side rows;
+query vectors stay exact.
 
 For scoring, a collection is held as a packed index: each distinct word
 row once, plus a token-to-row map and per-document offsets.  The packing
@@ -22,6 +22,7 @@ import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import zip_longest
 from pathlib import Path
 from types import MappingProxyType
 
@@ -47,32 +48,25 @@ class Word:
         return unpack_phocs(self.packed)
 
 
-@dataclass(frozen=True)
-class Line:
-    line_index: int
-    start_word: int
-    end_word: int  # inclusive
-
-
 @dataclass(frozen=True, eq=False)
 class Document:
-    """Token i has transcription transcriptions[i] and the PHOC in row
-    token_row[i] of `table`, and lies on the line whose span holds i.
+    """Token i has transcription transcriptions[i], lies on line
+    word_lines[i] and has the PHOC in row token_row[i] of `table`.
 
-    The constructor checks everything once and makes both arrays read-only;
-    a malformed document raises ValueError naming it.
+    The constructor checks everything once and makes the three arrays
+    read-only; a malformed document raises ValueError naming it.
     """
 
     doc_id: str
     transcriptions: tuple[str, ...]
-    lines: tuple[Line, ...]  # in line_index order, partitioning the tokens
+    word_lines: np.ndarray  # (n,) intp, 0-based, each step 0 or 1
     table: np.ndarray  # (R, PACKED_WORDS) uint64, C-contiguous packed rows
     token_row: np.ndarray  # (n,) intp, the table row of each token
     bboxes: tuple[BBox | None, ...] | None = None  # None: no token has one
 
     def __post_init__(self) -> None:
         where = f"document {self.doc_id!r}"
-        n, table, token_row = len(self.transcriptions), self.table, self.token_row
+        n, word_lines, table, token_row = len(self.transcriptions), self.word_lines, self.table, self.token_row
         if n == 0:
             raise ValueError(f"{where} is empty")
         if not (
@@ -87,20 +81,20 @@ class Document:
         padded = (table.view(np.uint8)[:, _PHOC_BYTES] != 0)[token_row]
         if padded.any():
             raise ValueError(f"{where}: PHOC of word {int(np.argmax(padded))} has padding bits set")
-        expected_start = 0
-        for pos, ln in enumerate(self.lines):
-            if ln.line_index != pos:
-                raise ValueError(
-                    f"{where}: line_index {ln.line_index} at position {pos} "
-                    "(line indices must be 0-based and consecutive)"
-                )
-            if ln.start_word != expected_start or ln.end_word < ln.start_word:
-                raise ValueError(f"{where}: line {ln.line_index} span invalid or overlapping")
-            expected_start = ln.end_word + 1
-        if expected_start != n:
-            raise ValueError(f"{where}: line spans do not cover all words")
+        if not (isinstance(word_lines, np.ndarray) and word_lines.dtype == np.intp and word_lines.shape == (n,)):
+            raise ValueError(f"{where}: line column is not a ({n},) intp array")
+        if word_lines[0] != 0:
+            raise ValueError(f"{where}: word 0 has line_index {word_lines[0]}, not 0")
+        steps = (word_lines[1:] - word_lines[:-1]).view(np.uintp)  # a step back wraps to a huge one
+        if steps.max(initial=0) > 1:
+            i = int(np.argmax(steps > 1)) + 1
+            raise ValueError(
+                f"{where}: word {i} has line_index {word_lines[i]} after {word_lines[i - 1]} "
+                "(line indices must be 0-based and consecutive)"
+            )
         if self.bboxes is not None and len(self.bboxes) != n:
             raise ValueError(f"{where}: {len(self.bboxes)} bboxes for {n} words")
+        word_lines.flags.writeable = False
         table.flags.writeable = False
         token_row.flags.writeable = False
 
@@ -113,11 +107,11 @@ class Document:
         return self.table[self.token_row]
 
     @cached_property
-    def word_lines(self) -> np.ndarray:
-        """The (n,) line index of each token."""
-        lines = np.repeat(np.arange(len(self.lines)), [ln.end_word - ln.start_word + 1 for ln in self.lines])
-        lines.flags.writeable = False
-        return lines
+    def line_starts(self) -> np.ndarray:
+        """The (num_lines,) first token of each line."""
+        starts = np.searchsorted(self.word_lines, np.arange(self.num_lines))  # word_lines is sorted
+        starts.flags.writeable = False
+        return starts
 
     @property
     def words(self) -> tuple[Word, ...]:
@@ -132,17 +126,16 @@ class Document:
 
     @property
     def num_lines(self) -> int:
-        return len(self.lines)
+        return int(self.word_lines[-1]) + 1
 
     def line_of_word(self, word_index: int) -> int:
         return int(self.word_lines[word_index])
 
     def word_ids_of_lines(self, start_line: int, end_line: int) -> set[int]:
         """All word indices on lines start_line..end_line inclusive."""
-        ids: set[int] = set()
-        for ln in self.lines[start_line : end_line + 1]:
-            ids.update(range(ln.start_word, ln.end_word + 1))
-        return ids
+        starts = self.line_starts
+        end = starts[end_line + 1] if end_line + 1 < len(starts) else len(self)
+        return set(range(starts[start_line], end))
 
 
 @dataclass(frozen=True)
@@ -282,6 +275,17 @@ class Question:
     gold_line_span: tuple[int, int]
 
 
+@dataclass(frozen=True)
+class AnswerPrediction:
+    doc_id: str
+    start_line: int
+    end_line: int
+    confidence: float
+    # word-granularity span when the predictor works at word level
+    start_word: int | None = None
+    end_word: int | None = None
+
+
 def _list_field(entry: dict, key: str, where: str) -> list:
     value = entry.get(key)
     if not isinstance(value, list):
@@ -290,14 +294,20 @@ def _list_field(entry: dict, key: str, where: str) -> list:
     return value
 
 
-def _line(raw, where: str) -> Line:
-    values = [raw.get(k) for k in ("line_index", "start_word", "end_word")] if isinstance(raw, dict) else []
-    if len(values) != 3 or any(type(v) is not int for v in values):
+def _line(raw, where: str) -> tuple[int, int, int]:
+    line = (raw.get("line_index"), raw.get("start_word"), raw.get("end_word")) if isinstance(raw, dict) else ()
+    if not (line and type(line[0]) is type(line[1]) is type(line[2]) is int):
         raise ValueError(
             f"{where}: field 'lines' holds {raw!r}; each line needs integer "
             "line_index, start_word and end_word"
         )
-    return Line(*values)
+    return line
+
+
+def _line_spans(doc: Document) -> list[tuple[int, int, int]]:
+    """The (line_index, start_word, end_word) of each line, in order."""
+    starts = doc.line_starts.tolist()
+    return [(i, start, end - 1) for i, (start, end) in enumerate(zip(starts, starts[1:] + [len(doc)]))]
 
 
 def _bbox(raw, where: str, pos: int) -> BBox:
@@ -310,17 +320,17 @@ def _bbox(raw, where: str, pos: int) -> BBox:
 
 
 def _parse_document(entry, position: int, word_types: dict[str, tuple[str, int]], rows: dict[str, int]):
-    """The Document fields of one JSON entry, and the line index its file
-    gives each word.  Line spans are left to Document to check.
-    `word_types` maps each raw text seen so far to its transcription and
-    table row, and `rows` each transcription to its row, so a text is
-    checked and normalized only the first time it is seen."""
+    """The Document fields of one JSON entry, and its file's sorted 'lines',
+    which load_collection checks.  `word_types` maps each raw text seen so
+    far to its transcription and table row, and `rows` each transcription
+    to its row, so a text is checked and normalized only the first time it
+    is seen."""
     doc_id = entry.get("doc_id") if isinstance(entry, dict) else None
     if not isinstance(doc_id, str):
         raise ValueError(f"document {position}: field 'doc_id' must be a string, not {doc_id!r}")
     where = f"document {doc_id!r}"
     raw_words = _list_field(entry, "words", where)
-    lines = sorted((_line(ln, where) for ln in _list_field(entry, "lines", where)), key=lambda ln: ln.line_index)
+    lines = sorted(_line(ln, where) for ln in _list_field(entry, "lines", where))
     transcriptions, token_row, word_lines, bboxes = [], [], [], []
     pos = 0
     try:
@@ -331,8 +341,8 @@ def _parse_document(entry, position: int, word_types: dict[str, tuple[str, int]]
                     f"{where}: word_index {idx!r} at position {pos} "
                     "(indices must be 0-based and consecutive)"
                 )
-            if type(line) is not int:
-                raise ValueError(f"{where}: word_index {pos} has line_index {line!r}, not an integer")
+            if type(line) is not int or not 0 <= line <= pos:  # a word's line cannot come after its index
+                raise ValueError(f"{where}: word_index {pos} has line_index {line!r}, not an integer in 0..{pos}")
             try:
                 text, row = word_types[raw]
             except (KeyError, TypeError):  # a new text, or not a string at all
@@ -350,13 +360,15 @@ def _parse_document(entry, position: int, word_types: dict[str, tuple[str, int]]
     except TypeError:
         raise ValueError(f"{where}: word {pos} is not an object") from None
     boxed = tuple(bboxes) if bboxes.count(None) < len(bboxes) else None
-    return doc_id, tuple(transcriptions), tuple(lines), np.array(token_row, dtype=np.intp), boxed, word_lines
+    word_lines, token_row = np.array(word_lines, dtype=np.intp), np.array(token_row, dtype=np.intp)
+    return doc_id, tuple(transcriptions), word_lines, token_row, boxed, lines
 
 
 def load_collection(path: str | Path) -> Collection:
     """Load and fully validate a collection JSON file; PHOCs are computed
     and packed here, once per distinct word, into one table that every
-    document shares.  A malformed collection raises ValueError naming the
+    document shares.  Each document's 'lines' must be the spans of its
+    words' line_index.  A malformed collection raises ValueError naming the
     document and field."""
     with open(path, encoding="utf-8") as f:
         data = json.load(f)
@@ -373,14 +385,14 @@ def load_collection(path: str | Path) -> Collection:
         parsed[doc_id] = fields
     table = phoc_table(rows)
     documents = {}
-    for doc_id, (transcriptions, lines, token_row, bboxes, word_lines) in parsed.items():
-        doc = documents[doc_id] = Document(doc_id, transcriptions, lines, table, token_row, bboxes)
-        expected = doc.word_lines.tolist()
-        if word_lines != expected:
-            pos = next(i for i, (got, want) in enumerate(zip(word_lines, expected)) if got != want)
+    for doc_id, (transcriptions, word_lines, token_row, bboxes, lines) in parsed.items():
+        doc = documents[doc_id] = Document(doc_id, transcriptions, word_lines, table, token_row, bboxes)
+        spans = _line_spans(doc)
+        if lines != spans:
+            pos, got, want = next((i, a, b) for i, (a, b) in enumerate(zip_longest(lines, spans)) if a != b)
             raise ValueError(
-                f"document {doc_id!r}: word_index {pos} has line_index {word_lines[pos]} "
-                f"but lies on line {expected[pos]}"
+                f"document {doc_id!r}: field 'lines' disagrees with the words' line_index at line {pos}: "
+                f"(line_index, start_word, end_word) is {got} in the file, {want} by the words"
             )
     collection = Collection(documents)
     collection.index  # built while loading, not by the first query
@@ -393,8 +405,7 @@ def write_collection(collection: Collection, path: str | Path) -> None:
             {
                 "doc_id": doc.doc_id,
                 "lines": [
-                    {"line_index": ln.line_index, "start_word": ln.start_word, "end_word": ln.end_word}
-                    for ln in doc.lines
+                    {"line_index": i, "start_word": start, "end_word": end} for i, start, end in _line_spans(doc)
                 ],
                 "words": [
                     {
@@ -411,10 +422,6 @@ def write_collection(collection: Collection, path: str | Path) -> None:
     }
     with open(path, "w", encoding="utf-8") as f:
         json.dump(data, f, indent=1)
-
-
-def _line_span_of_word_span(doc: Document, span: tuple[int, int]) -> tuple[int, int]:
-    return (doc.line_of_word(span[0]), doc.line_of_word(span[1]))
 
 
 _QUESTION_FIELDS = (
@@ -462,7 +469,7 @@ def load_questions(path: str | Path, collection: Collection) -> list[Question]:
                 tokens=tokens,
                 gold_doc_id=doc.doc_id,
                 gold_word_span=span,
-                gold_line_span=_line_span_of_word_span(doc, span),
+                gold_line_span=(doc.line_of_word(span[0]), doc.line_of_word(span[1])),
             )
         )
     return questions

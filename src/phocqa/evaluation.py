@@ -16,9 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .corpus import Collection, Document, Question
+from .corpus import AnswerPrediction, Collection, Document, Question
 from .retriever import RetrievalResult, rank_collection
-from .snippet_qa import AnswerPrediction
 
 QaModel = Callable[[Document, list[np.ndarray]], AnswerPrediction]
 

@@ -32,10 +32,13 @@ def phoc_encode(word: str) -> np.ndarray:
     """Encode a normalized word as a binary PHOC vector of length 504.
 
     Character i of an n-character word occupies the interval [i/n, (i+1)/n].
-    The bit for (level, region, char) is set iff the overlap of the character
-    interval with the region [r/L, (r+1)/L] is at least half the character
-    width.  Ties (exactly 50% overlap) count as inside, so a single-character
-    word sets bits in two adjacent regions at every level.
+    The bit for (level, region, char) is set iff overlap / width >= 0.5 in
+    float64, as computed below, where overlap is that of the character
+    interval with the region [r/L, (r+1)/L].  An exact 50% tie falls the way
+    the rounding does: 20 of the 118 ties in words of up to 40 characters (at
+    lengths 3, 6, 7, 11, 14, 19, 22, 27, 29, 35, 38 and 39) leave their bit
+    clear.  The exact rule waits for ROADMAP item 4, because
+    phocbench/reference.py follows this float rule.
     """
     v = np.zeros(PHOC_DIM, dtype=np.float64)
     n = len(word)

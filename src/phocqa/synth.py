@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Collection, Document, Line, Question, phoc_table, query_tokens
+from .corpus import Collection, Document, Question, phoc_table, query_tokens
 from .stopwords import NORMALIZED_STOPWORDS
 
 _LETTERS = np.array(list(string.ascii_lowercase))
@@ -67,18 +67,17 @@ def generate(spec: GeneratorSpec) -> tuple[Collection, list[Question]]:
     # mutable word grids first, documents built after all markers are planted
     doc_ids = [f"doc_{i:04d}" for i in range(spec.num_documents)]
     grids: dict[str, list[str]] = {}
-    line_spans: dict[str, list[tuple[int, int]]] = {}
+    word_lines: dict[str, list[int]] = {}  # the line of each word
     for did in doc_ids:
         n_lines = int(rng.integers(spec.lines_per_document[0], spec.lines_per_document[1] + 1))
-        spans = []
         words: list[str] = []
-        for _ in range(n_lines):
+        lines: list[int] = []
+        for line in range(n_lines):
             n_words = int(rng.integers(spec.words_per_line[0], spec.words_per_line[1] + 1))
-            start = len(words)
             words.extend(rng.choice(filler, size=n_words).tolist())  # str, not numpy.str_
-            spans.append((start, len(words) - 1))
+            lines.extend([line] * n_words)
         grids[did] = words
-        line_spans[did] = spans
+        word_lines[did] = lines
 
     questions_raw = []
     planted: dict[str, set[int]] = {did: set() for did in doc_ids}
@@ -113,7 +112,7 @@ def generate(spec: GeneratorSpec) -> tuple[Collection, list[Question]]:
     table = phoc_table(rows)
     documents = {}
     for did in doc_ids:
-        lines = tuple(Line(li, s, e) for li, (s, e) in enumerate(line_spans[did]))
+        lines = np.array(word_lines[did], dtype=np.intp)
         documents[did] = Document(did, tuple(grids[did]), lines, table, np.array(token_rows[did], dtype=np.intp))
     collection = Collection(documents)
 

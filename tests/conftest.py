@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from phocqa.corpus import Collection, Document, Line, phoc_table
+from phocqa.corpus import Collection, Document, phoc_table
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
 
@@ -16,12 +16,8 @@ def random_word(rng: np.random.Generator, min_len: int = 1, max_len: int = 12) -
 def make_document(doc_id: str, lines_of_words: list[list[str]]) -> Document:
     """Build a validated Document, one table row per word, from a nested list of word strings."""
     words = [w for line_words in lines_of_words for w in line_words]
-    lines = []
-    start = 0
-    for li, line_words in enumerate(lines_of_words):
-        lines.append(Line(li, start, start + len(line_words) - 1))
-        start += len(line_words)
-    return Document(doc_id, tuple(words), tuple(lines), phoc_table(words), np.arange(len(words)))
+    word_lines = np.array([li for li, line_words in enumerate(lines_of_words) for _ in line_words], dtype=np.intp)
+    return Document(doc_id, tuple(words), word_lines, phoc_table(words), np.arange(len(words)))
 
 
 def rows_with_bit_set(document: Document, word: int, bit: int) -> np.ndarray:

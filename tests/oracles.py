@@ -2,12 +2,14 @@
 
 These are written against the definitions directly and deliberately share
 no code with the library: occupancy-rule PHOC bits, nested-loop max/mean
-document scoring, set-arithmetic DIS, per-word PHOC bit flips, the
-unblocked per-tensor ADADELTA update and the double-loop constrained span
-argmax.
+document scoring, two-line snippet windows, set-arithmetic DIS, per-word
+PHOC bit flips, the unblocked per-tensor ADADELTA update and the
+double-loop constrained span argmax.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +53,21 @@ def doc_score_reference(doc_vectors, query_vectors) -> float:
         best = max(cosine_reference(q, w) for w in doc_vectors)
         per_query.append(best)
     return sum(per_query) / len(per_query)
+
+
+class Snippet(NamedTuple):
+    start_line: int
+    end_line: int
+    word_ids: tuple[int, ...]
+
+
+def make_snippets(word_lines) -> list[Snippet]:
+    """The two-line windows of a document whose word i lies on line
+    word_lines[i]: lines (i, i + 1) for every i, stride 1, or the single
+    window (0, 0) for a one-line document, each with the ids of its words."""
+    num_lines = max(word_lines) + 1
+    windows = [(0, 0)] if num_lines == 1 else [(i, i + 1) for i in range(num_lines - 1)]
+    return [Snippet(s, e, tuple(w for w, line in enumerate(word_lines) if s <= line <= e)) for s, e in windows]
 
 
 def dis_reference(sb: set, lb: set, ab: set) -> float:

@@ -13,11 +13,11 @@ import pytest
 from phocqa import bidaf
 from phocqa import neural as nn
 from phocqa.cli import main
-from phocqa.corpus import corrupt_collection, preprocess_query
+from phocqa.corpus import AnswerPrediction, corrupt_collection, preprocess_query
 from phocqa.evaluation import answer_collection, build_boxes, dis, evaluate, AnswerBoxes
 from phocqa.phoc import phoc_encode
 from phocqa.retriever import doc_score, rank_collection
-from phocqa.snippet_qa import AnswerPrediction, answer_attention
+from phocqa.snippet_qa import answer_attention
 from phocqa.synth import GeneratorSpec, generate
 
 from conftest import make_collection, make_document, random_word

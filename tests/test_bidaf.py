@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from phocqa import bidaf
 from phocqa import neural as nn
@@ -71,6 +73,38 @@ class TestConfig:
         # a model built for another width could only fail later, in forward
         with pytest.raises(ValueError, match="phoc_dim must be 504, got 100"):
             BidafConfig(phoc_dim=100)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("phoc_dim", 504.0, "phoc_dim must be 504, got 504.0"),
+            ("hidden", 0, "hidden must be an integer >= 1, got 0"),
+            ("hidden", 8.0, "hidden must be an integer >= 1, got 8.0"),
+            ("hidden", True, "hidden must be an integer >= 1, got True"),
+            ("hidden", "8", "hidden must be an integer >= 1, got '8'"),
+            ("max_span", 0, "max_span must be an integer >= 1, got 0"),
+            ("max_span", -2, "max_span must be an integer >= 1, got -2"),
+            ("max_span", 2.5, "max_span must be an integer >= 1, got 2.5"),
+            ("max_span", True, "max_span must be an integer >= 1, got True"),
+            ("pos_dim", -2, "pos_dim must be an integer >= 0, got -2"),
+            ("pos_dim", 3, "pos_dim must be even, got 3"),
+            ("pos_dim", 6.0, "pos_dim must be an integer >= 0, got 6.0"),
+            ("pos_dim", False, "pos_dim must be an integer >= 0, got False"),
+            ("dropout_rate", "0.2", r"dropout_rate must be a real number in \[0, 1\), got '0.2'"),
+            ("dropout_rate", True, r"dropout_rate must be a real number in \[0, 1\), got True"),
+            ("dropout_rate", 1.0, r"dropout_rate must be a real number in \[0, 1\), got 1.0"),
+            ("dropout_rate", -0.1, r"dropout_rate must be a real number in \[0, 1\), got -0.1"),
+            ("dropout_rate", float("nan"), r"dropout_rate must be a real number in \[0, 1\), got nan"),
+        ],
+    )
+    def test_rejects_bad_field(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            BidafConfig(**{field: value})
+
+    def test_accepts_edge_values(self):
+        cfg = BidafConfig(hidden=1, max_span=1, pos_dim=0, dropout_rate=0)
+        assert (cfg.hidden, cfg.max_span, cfg.pos_dim, cfg.dropout_rate) == (1, 1, 0, 0)
+        assert BidafConfig(max_span=None).max_span == 8
 
 
 class TestForward:
@@ -312,6 +346,13 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="format"):
             bidaf.load_checkpoint(path)
 
+    def test_rejects_meta_not_object(self, tmp_path):
+        path = tmp_path / "bad.ckpt"
+        with open(path, "wb") as f:
+            np.savez(f, __meta__=np.frombuffer(b"[1]", dtype=np.uint8))
+        with pytest.raises(ValueError, match="checkpoint '__meta__' is not a JSON object"):
+            bidaf.load_checkpoint(path)
+
     def _rewrite(self, path, edit):
         with np.load(path) as data:
             arrays = {k: data[k] for k in data.files}
@@ -373,8 +414,19 @@ class TestCheckpoint:
             (lambda meta: meta["config"].update(depth=3), "'depth'"),
             (lambda meta: meta.pop("config"), "'config'"),
             (lambda meta: meta["config"].update(phoc_dim=100), "phoc_dim"),
+            (lambda meta: meta["config"].update(hidden="4"), "hidden must be an integer"),
+            (lambda meta: meta["config"].update(max_span=0), "max_span must be an integer"),
+            (lambda meta: meta["config"].update(hidden=10**12), r"hidden=1000000000000"),
+            (lambda meta: meta["config"].update(mode="word"), r"'p:ctx_enc.fwd.W'.*mode='word'"),
+            (lambda meta: meta["optimizer"].update(lr="0.5"), "optimizer field 'lr' must be a finite number"),
+            (lambda meta: meta["optimizer"].update(rho=float("inf")), "optimizer field 'rho' must be a finite number"),
+            (lambda meta: meta["optimizer"].update(eps=None), "optimizer field 'eps' must be a finite number"),
+            (lambda meta: meta.update(optimizer=[0.5]), "field 'optimizer' must be an object"),
         ],
-        ids=["unknown-field", "no-config", "phoc-dim"],
+        ids=[
+            "unknown-field", "no-config", "phoc-dim", "hidden-string", "max-span-zero", "hidden-huge", "mode",
+            "lr-string", "rho-inf", "eps-null", "optimizer-list",
+        ],
     )
     def test_rejects_bad_config(self, tiny_data, tmp_path, edit, name):
         path = self._saved(tiny_data, tmp_path)
@@ -387,3 +439,61 @@ class TestCheckpoint:
         self._rewrite(path, edit_meta)
         with pytest.raises(ValueError, match=name):
             bidaf.load_checkpoint(path)
+
+
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.integers(),
+    st.floats(),
+    st.floats(0.0, 1.0),
+    st.sampled_from(["line", "word", "4", ""]),
+    st.lists(st.integers(0, 8), max_size=3),
+    st.dictionaries(st.sampled_from(["hidden", "lr"]), st.integers(0, 8), max_size=2),
+)
+META_FIELDS = [("config", f) for f in ("phoc_dim", "pos_dim", "hidden", "dropout_rate", "mode", "max_span")] + [
+    ("optimizer", f) for f in ("lr", "rho", "eps")
+]
+
+
+@pytest.fixture(scope="module")
+def saved_archive(tiny_data):
+    """The arrays and meta of a trained line-mode checkpoint."""
+    collection, questions = tiny_data
+    model = BidafModel(BidafConfig(hidden=4, pos_dim=6, dropout_rate=0.1), seed=8)
+    bidaf.train(model, [(collection[q.gold_doc_id], q) for q in questions], epochs=1, seed=8)
+    arrays = {f"p:{name}": p.values for name, p in model.parameters().items()}
+    arrays.update({f"eg2:{k}": v for k, v in model.optimizer.eg2.items()})
+    arrays.update({f"edx2:{k}": v for k, v in model.optimizer.edx2.items()})
+    meta = {"format": bidaf.CHECKPOINT_FORMAT, "config": vars(model.config).copy(), "optimizer": {"lr": 1.0, "rho": 0.95, "eps": 1e-6}}
+    return arrays, meta
+
+
+class TestLoadMutatedCheckpoint:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_loads_working_model_or_names_the_field(self, saved_archive, tiny_data, tmp_path_factory, data):
+        """One config or optimizer field of '__meta__' set to any JSON value:
+        the archive loads a model that answers with a finite confidence, or
+        raises a ValueError naming the field."""
+        arrays, meta = saved_archive
+        part, name = data.draw(st.sampled_from(META_FIELDS), label="field")
+        value = data.draw(JSON_VALUES, label="value")
+        meta = json.loads(json.dumps(meta))
+        meta[part][name] = value
+        path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+        with open(path, "wb") as f:
+            np.savez(f, __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8), **arrays)
+        try:
+            model = bidaf.load_checkpoint(path)
+        except ValueError as e:
+            event("rejected")
+            assert name in str(e), str(e)
+        else:
+            event("loaded")
+            collection, questions = tiny_data
+            doc = collection[questions[0].gold_doc_id]
+            pred = bidaf.predict(doc, preprocess_query(questions[0].text)[1], model)
+            assert np.isfinite(pred.confidence)
+            assert 0 <= pred.start_line <= pred.end_line < doc.num_lines

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from phocqa.cli import main
@@ -253,6 +254,54 @@ class TestTrainAnswerEval:
         path = tmp_path / "questions.json"
         path.write_text(json.dumps(questions))
         rc = main(["eval", "--collection", str(corpus_dir / "collection.json"), "--questions", str(path)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_train_rejects_zero_hidden_without_traceback(self, corpus_dir, tmp_path, capsys):
+        rc = main(
+            [
+                "train",
+                "--collection", str(corpus_dir / "collection.json"),
+                "--questions", str(corpus_dir / "questions.json"),
+                "--checkpoint", str(tmp_path / "h0.ckpt"),
+                "--hidden", "0",
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "error: hidden must be an integer >= 1, got 0\n"
+        assert not (tmp_path / "h0.ckpt").exists()
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("hidden", "8", "hidden must be an integer >= 1, got '8'"),
+            ("max_span", 0, "max_span must be an integer >= 1, got 0"),
+        ],
+        ids=["hidden-string", "max-span-zero"],
+    )
+    def test_eval_rejects_bad_checkpoint_config_without_traceback(
+        self, corpus_dir, tmp_path, capsys, field, value, message
+    ):
+        ckpt = tmp_path / "word.ckpt"
+        train = ["train", "--collection", str(corpus_dir / "collection.json"), "--questions", str(corpus_dir / "questions.json")]
+        assert main(train + ["--checkpoint", str(ckpt), "--epochs", "0", "--hidden", "8", "--mode", "word"]) == 0
+        with np.load(ckpt) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(bytes(arrays["__meta__"]).decode("utf-8"))
+        meta["config"][field] = value
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        with open(ckpt, "wb") as f:
+            np.savez(f, **arrays)
+        capsys.readouterr()
+        rc = main(
+            [
+                "eval",
+                "--collection", str(corpus_dir / "collection.json"),
+                "--questions", str(corpus_dir / "questions.json"),
+                "--backend", "bidaf-word",
+                "--checkpoint", str(ckpt),
+            ]
+        )
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 

@@ -15,7 +15,6 @@ from phocqa.corpus import (
     PACKED_WORDS,
     Collection,
     Document,
-    Line,
     Word,
     corrupt_collection,
     load_collection,
@@ -23,6 +22,7 @@ from phocqa.corpus import (
     pack_phocs,
     phoc_table,
     preprocess_query,
+    query_tokens,
     write_collection,
     write_questions,
 )
@@ -93,6 +93,12 @@ MALFORMED = {
     "text-list": (set_field(["documents", 0, "words", 1, "text"], ["sir"]), r"document 'a': word 1 field 'text' must be a string"),
     "word-index-bool": (set_field(["documents", 0, "words", 1, "word_index"], True), r"document 'a': word_index True at position 1"),
     "line-index-float": (set_field(["documents", 0, "words", 2, "line_index"], 1.0), r"document 'a': word_index 2 has line_index 1.0"),
+    "line-index-negative": (set_field(["documents", 0, "words", 1, "line_index"], -1), r"document 'a': word_index 1 has line_index -1, not an integer in 0\.\.1"),
+    "line-index-huge": (set_field(["documents", 0, "words", 2, "line_index"], 2**70), r"document 'a': word_index 2 has line_index 1180591620717411303424, not"),
+    "line-index-gap": (set_field(["documents", 0, "words", 2, "line_index"], 2), r"document 'a': word 2 has line_index 2 after 0"),
+    "line-end-shifted": (set_field(["documents", 0, "lines", 0, "end_word"], 0), r"document 'a': field 'lines' disagrees with the words' line_index at line 0: \(line_index, start_word, end_word\) is \(0, 0, 0\) in the file, \(0, 0, 1\) by the words"),
+    "line-extra": (set_field(["documents", 1, "lines"], [{"line_index": i, "start_word": i, "end_word": i} for i in (0, 1)]), r"document 'b': field 'lines' disagrees with the words' line_index at line 1: .* is \(1, 1, 1\) in the file, None by the words"),
+    "line-entry-missing": (set_field(["documents", 0, "lines", 1], DELETE), r"document 'a': field 'lines' disagrees with the words' line_index at line 1: .* is None in the file, \(1, 2, 2\) by the words"),
     "bbox-nan": (set_field(["documents", 0, "words", 1, "bbox"], [1, float("nan"), 30, 10]), r"document 'a': word 1 field 'bbox'"),
     "bbox-two-numbers": (set_field(["documents", 0, "words", 1, "bbox"], [1, 2]), r"document 'a': word 1 field 'bbox'"),
     "bbox-string": (set_field(["documents", 0, "words", 0, "bbox"], [1, 2, "3", 4]), r"document 'a': word 0 field 'bbox'"),
@@ -135,7 +141,11 @@ class TestLoadCollection:
         data = json.loads(json.dumps(VALID))
         data["documents"][0]["lines"][1]["line_index"] = 5
         data["documents"][0]["words"][2]["line_index"] = 5
-        with pytest.raises(ValueError, match=r"'a': line_index 5 at position 1"):
+        with pytest.raises(ValueError, match=r"'a': word_index 2 has line_index 5, not an integer in 0\.\.2"):
+            load_collection(write_json(tmp_path, data))
+        # the words give lines 0 and 1, the file's lines 0 and 5
+        data["documents"][0]["words"][2]["line_index"] = 1
+        with pytest.raises(ValueError, match=r"'a': field 'lines' disagrees .* at line 1: .* is \(5, 2, 2\) in the file, \(1, 2, 2\) by the words"):
             load_collection(write_json(tmp_path, data))
 
     def test_one_read_only_phoc_per_word_type(self, tmp_path):
@@ -187,7 +197,8 @@ class TestLoadCollection:
         for did, doc in collection.documents.items():
             other = reloaded[did]
             assert [w.transcription for w in doc.words] == [w.transcription for w in other.words]
-            assert doc.lines == other.lines
+            assert doc.word_lines.dtype == other.word_lines.dtype
+            assert doc.word_lines.tobytes() == other.word_lines.tobytes()
             for a, b in zip(doc.words, other.words):
                 np.testing.assert_array_equal(a.phoc, b.phoc)
         assert load_questions(qpath, reloaded) == questions
@@ -240,12 +251,13 @@ def assert_document_invariants(doc: Document) -> None:
     assert n > 0 and len(doc.token_row) == n and all(type(t) is str for t in doc.transcriptions)
     assert 0 <= doc.token_row.min() and doc.token_row.max() < len(doc.table)
     assert not doc.table.view(np.uint8)[:, 63].any()
-    assert [ln.line_index for ln in doc.lines] == list(range(doc.num_lines))
-    assert [ln.start_word for ln in doc.lines] == [0] + [ln.end_word + 1 for ln in doc.lines[:-1]]
-    assert doc.lines[-1].end_word == n - 1
+    lines = doc.word_lines.tolist()
+    assert doc.word_lines.dtype == np.intp and len(lines) == n and not doc.word_lines.flags.writeable
+    assert lines[0] == 0 and all(b - a in (0, 1) for a, b in zip(lines, lines[1:]))
+    assert doc.num_lines == lines[-1] + 1
+    assert doc.line_starts.tolist() == [lines.index(i) for i in range(doc.num_lines)]
     for w in doc.words:
-        line = doc.lines[w.line_index]
-        assert line.start_word <= w.word_index <= line.end_word
+        assert w.line_index == lines[w.word_index]
         assert w.bbox is None or (len(w.bbox) == 4 and all(math.isfinite(x) for x in w.bbox))
 
 
@@ -295,6 +307,9 @@ class TestLoadMutatedCollection:
                 ]
                 texts = [corpus.normalize_token(w["text"]) for w in entry["words"]]
                 assert texts == [w.transcription for w in words]
+                doc = loaded[entry["doc_id"]]
+                spans = [(i, min(ids), max(ids)) for i in range(doc.num_lines) for ids in [doc.word_ids_of_lines(i, i)]]
+                assert sorted((ln["line_index"], ln["start_word"], ln["end_word"]) for ln in entry["lines"]) == spans
 
 
 VALID_QUESTIONS = {
@@ -355,6 +370,58 @@ class TestLoadQuestions:
 
         monkeypatch.setattr(corpus, "phoc_encode", encode)
         assert load_questions(tmp_path / "q.json", collection) == questions
+
+
+QUESTION_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 4), st.floats(), st.text(max_size=4),
+    st.sampled_from(["a", "b", "q1", "q2", "dear", "the", "?!"]), st.lists(st.integers(0, 3), max_size=3),
+)
+
+
+class TestLoadMutatedQuestions:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_loads_consistent_questions_or_names_the_fault(self, tmp_path_factory, data):
+        """1-3 mutations delete or set a field, shift an integer, replace a
+        question or drop the list.  The file must then load into questions
+        that agree with it and with the collection, or raise a ValueError
+        naming the question or field."""
+        directory = tmp_path_factory.mktemp("questions")
+        collection = load_collection(write_json(directory, VALID))
+        file = json.loads(json.dumps(VALID_QUESTIONS))
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            kind = data.draw(st.sampled_from(["delete", "set", "shift", "question", "list"]), label="kind")
+            questions = file.get("questions")
+            if kind == "list" or not isinstance(questions, list) or not questions:
+                file["questions"] = data.draw(st.one_of(QUESTION_VALUES, st.just([])), label="questions")
+                continue
+            position = data.draw(st.integers(0, len(questions) - 1), label="position")
+            if kind == "question" or not isinstance(questions[position], dict) or not questions[position]:
+                questions[position] = data.draw(QUESTION_VALUES, label="question")
+                continue
+            q = questions[position]
+            key = data.draw(st.sampled_from(sorted(q)), label="key")
+            if kind == "delete":
+                del q[key]
+            elif kind == "shift" and type(q[key]) is int:
+                q[key] += data.draw(st.sampled_from([-2, -1, 1, 2]), label="shift")
+            else:
+                q[key] = data.draw(QUESTION_VALUES, label="value")
+        try:
+            loaded = load_questions(write_json(directory, file, "q.json"), collection)
+        except ValueError as e:
+            event("rejected")
+            assert re.search(r"question|field", str(e)), str(e)
+        else:
+            event("loaded")
+            assert len(loaded) == len(file["questions"])
+            for q, entry in zip(loaded, file["questions"]):
+                doc = collection[q.gold_doc_id]
+                assert (q.question_id, q.text, q.gold_doc_id) == (entry["question_id"], entry["text"], entry["gold_doc_id"])
+                assert q.gold_word_span == (entry["gold_start_word"], entry["gold_end_word"])
+                assert 0 <= q.gold_word_span[0] <= q.gold_word_span[1] < len(doc)
+                assert q.gold_line_span == tuple(doc.line_of_word(w) for w in q.gold_word_span)
+                assert q.tokens == tuple(query_tokens(q.text)) and q.tokens
 
 
 class TestPreprocessQuery:
@@ -539,25 +606,31 @@ def test_malformed_token_map_named(token_row, message):
 
 
 @pytest.mark.parametrize(
-    "lines, message",
+    "word_lines, message",
     [
-        ((Line(0, 0, 0), Line(2, 1, 1)), "line_index 2 at position 1"),
-        ((Line(0, 0, 1), Line(1, 1, 1)), "line 1 span invalid or overlapping"),
-        ((Line(0, 0, 0),), "line spans do not cover all words"),
+        (np.array([0, 2, 2]), r"word 1 has line_index 2 after 0 \(line indices must be 0-based and consecutive\)"),
+        (np.array([0, 1, 0]), r"word 2 has line_index 0 after 1 \(line indices must be 0-based and consecutive\)"),
+        (np.array([0, 1]), r"line column is not a \(3,\) intp array"),
+        (np.array([1, 1, 2]), r"word 0 has line_index 1, not 0"),
+        (np.array([0, 1, 2], dtype=np.int32), r"line column is not a \(3,\) intp array"),
+        (np.array([0.0, 1.0, 2.0]), r"line column is not a \(3,\) intp array"),
+        ([0, 1, 2], r"line column is not a \(3,\) intp array"),
     ],
-    ids=["gap", "overlap", "short"],
+    ids=["gap", "overlap", "short", "not-zero-based", "int32", "float", "list"],
 )
-def test_malformed_lines_named(lines, message):
-    doc = make_collection({"d": [["one"], ["two"]]})["d"]
+def test_malformed_lines_named(word_lines, message):
+    doc = make_collection({"d": [["one"], ["two"], ["three"]]})["d"]
     with pytest.raises(ValueError, match="document 'd': " + message):
-        replace(doc, lines=lines)
+        replace(doc, word_lines=word_lines)
 
 
 def test_document_freezes_its_arrays():
     doc = make_collection({"d": [["one", "two"]]})["d"]
-    table, token_row = doc.rows, np.array([1, 0])
-    other = replace(doc, table=table, token_row=token_row)
+    word_lines, table, token_row = np.array([0, 1]), doc.rows, np.array([1, 0])
+    other = replace(doc, word_lines=word_lines, table=table, token_row=token_row)
     assert other.table is table and not table.flags.writeable and not token_row.flags.writeable
+    assert other.word_lines is word_lines and not word_lines.flags.writeable
+    assert not other.line_starts.flags.writeable
     assert [w.transcription for w in other.words] == ["one", "two"]
     np.testing.assert_array_equal(other.rows, doc.rows[::-1])
 
@@ -566,6 +639,7 @@ def test_collection_helpers():
     c = make_collection({"d": [["one", "two"], ["three"]]})
     doc = c["d"]
     assert doc.num_lines == 2
+    assert doc.line_starts.tolist() == [0, 2]
     assert doc.line_of_word(2) == 1
     assert doc.word_ids_of_lines(0, 0) == {0, 1}
     assert doc.word_ids_of_lines(0, 1) == {0, 1, 2}

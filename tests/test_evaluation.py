@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phocqa.corpus import Question
+from phocqa.corpus import AnswerPrediction, Question
 from phocqa.evaluation import (
     AnswerBoxes,
     answer_collection,
@@ -16,7 +16,7 @@ from phocqa.evaluation import (
 )
 from phocqa.phoc import phoc_encode
 from phocqa.retriever import RetrievalResult
-from phocqa.snippet_qa import AnswerPrediction, answer_attention
+from phocqa.snippet_qa import answer_attention
 from phocqa.synth import GeneratorSpec, generate
 
 from conftest import make_collection, make_document

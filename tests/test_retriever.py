@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phocqa.corpus import (
-    Collection, Document, Line, build_index, corrupt_collection, document_index, pack_phocs, unpack_phocs,
+    Collection, Document, build_index, corrupt_collection, document_index, pack_phocs, unpack_phocs,
 )
 from phocqa.phoc import PHOC_DIM, phoc_encode
 from phocqa.retriever import doc_score, rank_collection, segment_maxima
@@ -103,14 +103,14 @@ class TestSegmentMaxima:
         assert got.flags.c_contiguous
         assert got.tobytes() == self.row_major_maxima(c.index, query, c.index.offsets).tobytes()
         doc = c.ordered()[0]
-        starts = np.array([ln.start_word for ln in doc.lines], dtype=np.intp)
+        starts = doc.line_starts
         got = segment_maxima(document_index(doc), query, starts)
         assert got.tobytes() == self.row_major_maxima(build_index([doc]), query, starts).tobytes()
 
     def test_all_ones_word_scores_exactly_one(self):
         # 504 set bits: a uint8 sum of the popcounts would wrap to 248
         ones = np.ones(PHOC_DIM)
-        doc = Document("d", ("x",), (Line(0, 0, 0),), pack_phocs([ones])[0], np.zeros(1, dtype=np.intp))
+        doc = Document("d", ("x",), np.zeros(1, dtype=np.intp), pack_phocs([ones])[0], np.zeros(1, dtype=np.intp))
         assert doc_score(doc, [ones]) == 1.0
         assert rank_collection(Collection({"d": doc}), [ones], k=1)[0].score == 1.0
         assert answer_attention(doc, [ones]).confidence == 1.0

@@ -4,25 +4,28 @@ import pytest
 
 from phocqa.phoc import phoc_encode
 from phocqa.retriever import doc_score
-from phocqa.snippet_qa import answer_attention, make_snippets
+from phocqa.snippet_qa import answer_attention
 
 from conftest import make_document, random_word, rows_with_bit_set
+from oracles import make_snippets
 
 
 class TestMakeSnippets:
+    """The window enumeration of the brute-force oracle below."""
+
     def test_single_line(self):
         doc = make_document("d", [["a", "b"]])
-        snips = make_snippets(doc)
+        snips = make_snippets(doc.word_lines.tolist())
         assert [(s.start_line, s.end_line) for s in snips] == [(0, 0)]
         assert snips[0].word_ids == (0, 1)
 
     def test_two_lines(self):
         doc = make_document("d", [["a"], ["b"]])
-        assert [(s.start_line, s.end_line) for s in make_snippets(doc)] == [(0, 1)]
+        assert [(s.start_line, s.end_line) for s in make_snippets(doc.word_lines.tolist())] == [(0, 1)]
 
     def test_four_lines(self):
         doc = make_document("d", [["a"], ["b"], ["c"], ["d"]])
-        assert [(s.start_line, s.end_line) for s in make_snippets(doc)] == [
+        assert [(s.start_line, s.end_line) for s in make_snippets(doc.word_lines.tolist())] == [
             (0, 1),
             (1, 2),
             (2, 3),
@@ -30,7 +33,7 @@ class TestMakeSnippets:
 
     def test_words_cover_exactly_the_lines(self):
         doc = make_document("d", [["a", "b"], ["c"], ["d", "e"]])
-        snips = make_snippets(doc)
+        snips = make_snippets(doc.word_lines.tolist())
         assert snips[0].word_ids == (0, 1, 2)
         assert snips[1].word_ids == (2, 3, 4)
 
@@ -51,14 +54,13 @@ class TestAnswerAttention:
         assert (pred.start_line, pred.end_line) == (0, 1)
 
     def test_matches_brute_force_over_snippets(self, rng):
-        for _ in range(10):
-            doc = make_document(
-                "d", [[random_word(rng, 1, 6) for _ in range(4)] for _ in range(6)]
-            )
+        for num_lines in [1, 2, 3, 4, 5, 6] * 2:
+            lines = [[random_word(rng, 1, 6) for _ in range(int(rng.integers(1, 5)))] for _ in range(num_lines)]
+            doc = make_document("d", lines)
             query = [phoc_encode(random_word(rng, 1, 6)) for _ in range(2)]
             pred = answer_attention(doc, query)
             scores = []
-            for snip in make_snippets(doc):
+            for snip in make_snippets(doc.word_lines.tolist()):
                 sub = make_document("sub", [[doc.words[i].transcription for i in snip.word_ids]])
                 scores.append((doc_score(sub, query), snip))
             best_score = max(s for s, _ in scores)
