@@ -7,17 +7,26 @@ the concatenated representations pass a two-stage modeling BLSTM, and two
 heads produce start and end logits (per line after summing word outputs by
 line membership, or per word).  Confidence is the sum of the pre-softmax
 logits at the predicted span.
+
+parameter_layout is the one list of the model's parameters: each name,
+shape and initialization fan-in.  A model is a dict of named Tensors that
+BidafModel(config, seed) draws in layout order, and whose order, the
+BLSTMs first, is the order of parameters() and of the keys save_checkpoint
+writes.  load_checkpoint checks an archive against the layout and builds
+the dict straight from its arrays.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import tokenize
+import zipfile
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .corpus import AnswerPrediction, Document, Question, unpack_phocs
+from .corpus import AnswerPrediction, Document, Question, parse_json, unpack_phocs
 from .neural import (
     AdadeltaState,
     Tensor,
@@ -29,10 +38,8 @@ from .neural import (
     concat,
     cross_entropy,
     dropout,
-    init_blstm,
     matmul,
     softmax,
-    uniform_param,
     zero_grads,
 )
 from .phoc import PHOC_DIM
@@ -84,43 +91,63 @@ def line_positional_encoding(line_index: int, dim: int = 30) -> np.ndarray:
     return pe
 
 
+def parameter_layout(config: BidafConfig) -> list[tuple[str, tuple[int, ...], int]]:
+    """(name, shape, fan_in) of every model parameter, in the order a seeded
+    model draws them.  An LSTM direction is a fused (W, b) pair named
+    '<blstm>.<fwd|bwd>.<W|b>'; every parameter is drawn uniformly from
+    +-1/sqrt(fan_in)."""
+    h = config.hidden
+
+    def blstm(name: str, input_dim: int) -> list[tuple[str, tuple[int, ...], int]]:
+        fan_in = input_dim + h
+        return [
+            (f"{name}.{d}.{p}", shape, fan_in)
+            for d in ("fwd", "bwd")
+            for p, shape in (("W", (4 * h, fan_in)), ("b", (4 * h,)))
+        ]
+
+    return [
+        *blstm("ctx_enc", config.context_input_dim),
+        *blstm("q_enc", config.phoc_dim),
+        ("att_ws", (6 * h,), 6 * h),
+        *blstm("model1", 4 * h),
+        *blstm("model2", 2 * h),
+        ("w_start", (2 * h,), 2 * h),
+        ("b_start", (), 2 * h),
+        *blstm("end_blstm", 2 * h),
+        ("w_end", (2 * h,), 2 * h),
+        ("b_end", (), 2 * h),
+    ]
+
+
 class BidafModel:
-    """Parameter container plus optimizer state; see module docstring for wiring."""
+    """Named parameter Tensors plus optimizer state; see the module docstring
+    for the wiring and parameter_layout for the names and shapes."""
 
     def __init__(self, config: BidafConfig, seed: int = 0):
-        self.config = config
-        h = config.hidden
         rng = np.random.default_rng(seed)
-        self.ctx_enc = init_blstm(config.context_input_dim, h, rng)
-        self.q_enc = init_blstm(config.phoc_dim, h, rng)
-        self.att_ws = uniform_param((6 * h,), 6 * h, rng)
-        self.model1 = init_blstm(4 * h, h, rng)
-        self.model2 = init_blstm(2 * h, h, rng)
-        self.w_start = uniform_param((2 * h,), 2 * h, rng)
-        self.b_start = uniform_param((), 2 * h, rng)
-        self.end_blstm = init_blstm(2 * h, h, rng)
-        self.w_end = uniform_param((2 * h,), 2 * h, rng)
-        self.b_end = uniform_param((), 2 * h, rng)
+        drawn = {}
+        for name, shape, fan_in in parameter_layout(config):
+            bound = 1.0 / math.sqrt(fan_in)
+            drawn[name] = rng.uniform(-bound, bound, size=shape)
+        self._adopt(config, drawn)
+
+    def _adopt(self, config: BidafConfig, arrays: dict[str, np.ndarray]) -> None:
+        self.config = config
+        # the BLSTMs first, then the other parameters, each group in draw order
+        names = sorted(arrays, key=lambda name: "." not in name)
+        self.params = {name: Tensor(arrays[name], requires_grad=True) for name in names}
         self.optimizer = AdadeltaState()
 
     def parameters(self) -> dict[str, Tensor]:
-        params: dict[str, Tensor] = {}
-        for name, blstm in (
-            ("ctx_enc", self.ctx_enc),
-            ("q_enc", self.q_enc),
-            ("model1", self.model1),
-            ("model2", self.model2),
-            ("end_blstm", self.end_blstm),
-        ):
-            for d, lp in (("fwd", blstm.fwd), ("bwd", blstm.bwd)):
-                params[f"{name}.{d}.W"] = lp.W
-                params[f"{name}.{d}.b"] = lp.b
-        params["att_ws"] = self.att_ws
-        params["w_start"] = self.w_start
-        params["b_start"] = self.b_start
-        params["w_end"] = self.w_end
-        params["b_end"] = self.b_end
-        return params
+        """The model's parameters by name, in checkpoint order; the dict is
+        the model's own, so an update to a Tensor updates the model."""
+        return self.params
+
+    def blstm(self, name: str) -> tuple[tuple[Tensor, Tensor], tuple[Tensor, Tensor]]:
+        """The forward and backward (W, b) pairs of the BLSTM `name`."""
+        p = self.params
+        return tuple((p[f"{name}.{d}.W"], p[f"{name}.{d}.b"]) for d in ("fwd", "bwd"))
 
 
 def _line_aggregation_matrix(document: Document) -> np.ndarray:
@@ -153,20 +180,21 @@ def forward(
         ctx = np.concatenate([ctx, pe[document.word_lines]], axis=1)
     ctx_in = drop(Tensor(ctx))
     q_in = drop(Tensor(np.stack(question)))
-    H = blstm_matrix(ctx_in, model.ctx_enc)  # T x 2h
-    U = blstm_matrix(q_in, model.q_enc)  # J x 2h
-    attended = c2q_attention(H, U, model.att_ws)  # T x 2h
+    p = model.params
+    H = blstm_matrix(ctx_in, *model.blstm("ctx_enc"))  # T x 2h
+    U = blstm_matrix(q_in, *model.blstm("q_enc"))  # J x 2h
+    attended = c2q_attention(H, U, p["att_ws"])  # T x 2h
     G = concat([H, attended], axis=1)  # T x 4h
-    M = blstm_matrix(drop(blstm_matrix(drop(G), model.model1)), model.model2)  # T x 2h
+    M = blstm_matrix(drop(blstm_matrix(drop(G), *model.blstm("model1"))), *model.blstm("model2"))  # T x 2h
 
     if cfg.mode == "line":
         reps = matmul(Tensor(_line_aggregation_matrix(document)), M)  # L x 2h
     else:
         reps = M
 
-    start_logits = add(matmul(reps, model.w_start), model.b_start)
-    end_out = blstm_matrix(drop(reps), model.end_blstm)
-    end_logits = add(matmul(end_out, model.w_end), model.b_end)
+    start_logits = add(matmul(reps, p["w_start"]), p["b_start"])
+    end_out = blstm_matrix(drop(reps), *model.blstm("end_blstm"))
+    end_logits = add(matmul(end_out, p["w_end"]), p["b_end"])
     return start_logits, end_logits
 
 
@@ -307,64 +335,97 @@ def save_checkpoint(model: BidafModel, path) -> None:
         np.savez(f, **arrays)
 
 
-def _check_shape(data, key: str, shape: tuple[int, ...], config: BidafConfig) -> np.ndarray:
-    """The array of `key` in the archive, which must have `shape`."""
-    if key not in data.files:
-        raise ValueError(f"checkpoint lacks parameter key {key!r}")
-    values = data[key]
-    if values.shape != shape:
-        cfg = f"hidden={config.hidden}, pos_dim={config.pos_dim}, mode={config.mode!r}"
-        raise ValueError(f"shape mismatch for checkpoint key {key!r}: {values.shape}, but config {cfg} needs {shape}")
-    return values
+_NPY_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0, (2, 0): np.lib.format.read_array_header_2_0}
+# what zipfile and the .npy header parser raise on a damaged file (EOFError: a
+# member shorter than its sizes; RuntimeError: a member flagged as encrypted)
+_UNREADABLE = (
+    EOFError, NotImplementedError, RuntimeError, SyntaxError, ValueError, zipfile.BadZipFile, tokenize.TokenError
+)
+
+
+def _read_npy(member, name: str) -> np.ndarray:
+    """The array of one .npy archive member, read to its end so that zipfile
+    checks its CRC; the data must be exactly as long as the header says, and
+    is compared before any array is made, so a header cannot make the reader
+    allocate more than the file holds."""
+    version = np.lib.format.read_magic(member)
+    if version not in _NPY_HEADER_READERS:
+        raise ValueError(f"member {name!r} has .npy version {version}")
+    shape, fortran_order, dtype = _NPY_HEADER_READERS[version](member)
+    data = member.read()
+    if len(data) != math.prod(shape) * dtype.itemsize:
+        raise ValueError(f"member {name!r} holds {len(data)} bytes for a {shape} {dtype} array")
+    return np.frombuffer(data, dtype).reshape(shape, order="F" if fortran_order else "C")
+
+
+def _read_archive(path) -> dict[str, np.ndarray]:
+    """Every array of the .npz archive at `path`, keyed by member name less
+    '.npy', in archive order; a file that is not such an archive raises
+    ValueError naming it."""
+    arrays = {}
+    try:
+        with zipfile.ZipFile(path) as archive:
+            for name in archive.namelist():
+                with archive.open(name) as member:
+                    arrays[name.removesuffix(".npy")] = _read_npy(member, name)
+    except _UNREADABLE as e:
+        raise ValueError(f"{path}: not a readable checkpoint archive ({type(e).__name__}: {e})") from None
+    return arrays
 
 
 def load_checkpoint(path) -> BidafModel:
-    """Load a model saved by save_checkpoint.  The archive must hold exactly
-    the parameters of the model its config builds, each with its shape, and
-    optimizer averages only for those parameters; anything else, a missing
-    '__meta__' key, a config field BidafConfig lacks or rejects or a
-    non-finite optimizer setting raises ValueError naming the key or field."""
-    with np.load(path) as data:
-        if "__meta__" not in data.files:
-            raise ValueError("checkpoint lacks key '__meta__'")
-        meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
-        if not isinstance(meta, dict):
-            raise ValueError("checkpoint '__meta__' is not a JSON object")
-        if meta.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"unsupported checkpoint format: {meta.get('format')!r}")
-        config = meta.get("config")
-        if not isinstance(config, dict):
-            raise ValueError("checkpoint '__meta__' lacks a 'config' object")
-        known = {f.name for f in fields(BidafConfig)}
-        for name in config:
-            if name not in known:
-                raise ValueError(f"unknown config field {name!r} in checkpoint")
-        config = BidafConfig(**config)
-        opt = meta.get("optimizer", {})
-        if not isinstance(opt, dict):
-            raise ValueError(f"checkpoint '__meta__' field 'optimizer' must be an object, not {opt!r}")
-        # before the model is built, so a config that does not fit (a huge hidden size) allocates nothing
-        _check_shape(data, "p:ctx_enc.fwd.W", (4 * config.hidden, config.context_input_dim + config.hidden), config)
-        model = BidafModel(config, seed=0)
-        params = model.parameters()
-        for name in params:
-            if f"p:{name}" not in data.files:
-                raise ValueError(f"checkpoint lacks parameter key 'p:{name}'")
-        for key in data.files:
-            if key == "__meta__":
-                continue
-            kind, _, name = key.partition(":")
-            if kind not in ("p", "eg2", "edx2") or name not in params:
-                raise ValueError(f"unknown key {key!r} in checkpoint")
-            values = _check_shape(data, key, params[name].values.shape, config)
-            values = values.astype(np.float64, order="C")  # adadelta_step sweeps flat views
-            if kind == "p":
-                params[name].values = values
-            else:
-                getattr(model.optimizer, kind)[name] = values
-        for name in ("lr", "rho", "eps"):
-            value = opt.get(name, getattr(model.optimizer, name))
-            if not (type(value) in (int, float) and math.isfinite(value)):
-                raise ValueError(f"optimizer field {name!r} must be a finite number, not {value!r}")
-            setattr(model.optimizer, name, value)
+    """Load a model saved by save_checkpoint, building its parameters from
+    the archive's arrays without drawing any.  The archive must hold exactly
+    the parameters parameter_layout lists for its config, each with its
+    shape, and optimizer averages only for those parameters; anything else,
+    a missing '__meta__' key, a config field BidafConfig lacks or rejects, a
+    non-finite optimizer setting or a file that is not an .npz archive
+    raises ValueError naming the key, field or file."""
+    arrays = _read_archive(path)
+    if "__meta__" not in arrays:
+        raise ValueError("checkpoint lacks key '__meta__'")
+    meta = parse_json(bytes(arrays.pop("__meta__")).decode("utf-8"), f"{path}: checkpoint '__meta__'")
+    if not isinstance(meta, dict):
+        raise ValueError("checkpoint '__meta__' is not a JSON object")
+    if meta.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(f"unsupported checkpoint format: {meta.get('format')!r}")
+    config = meta.get("config")
+    if not isinstance(config, dict):
+        raise ValueError("checkpoint '__meta__' lacks a 'config' object")
+    known = {f.name for f in fields(BidafConfig)}
+    for name in config:
+        if name not in known:
+            raise ValueError(f"unknown config field {name!r} in checkpoint")
+    config = BidafConfig(**config)
+    opt = meta.get("optimizer", {})
+    if not isinstance(opt, dict):
+        raise ValueError(f"checkpoint '__meta__' field 'optimizer' must be an object, not {opt!r}")
+    # shapes are only compared, so a config that does not fit (a huge hidden size) allocates nothing
+    shapes = {name: shape for name, shape, _ in parameter_layout(config)}
+    for name in shapes:
+        if f"p:{name}" not in arrays:
+            raise ValueError(f"checkpoint lacks parameter key 'p:{name}'")
+    for key, values in arrays.items():
+        kind, _, name = key.partition(":")
+        if kind not in ("p", "eg2", "edx2") or name not in shapes:
+            raise ValueError(f"unknown key {key!r} in checkpoint")
+        if values.shape != shapes[name]:
+            cfg = f"hidden={config.hidden}, pos_dim={config.pos_dim}, mode={config.mode!r}"
+            raise ValueError(
+                f"shape mismatch for checkpoint key {key!r}: {values.shape}, but config {cfg} needs {shapes[name]}"
+            )
+        if values.dtype.kind != "f":
+            raise ValueError(f"checkpoint key {key!r} holds {values.dtype} values, not floating point")
+        arrays[key] = values.astype(np.float64, order="C")  # adadelta_step sweeps flat views
+    model = BidafModel.__new__(BidafModel)
+    model._adopt(config, {name: arrays[f"p:{name}"] for name in shapes})
+    for key, values in arrays.items():
+        kind, _, name = key.partition(":")
+        if kind != "p":
+            getattr(model.optimizer, kind)[name] = values
+    for name in ("lr", "rho", "eps"):
+        value = opt.get(name, getattr(model.optimizer, name))
+        if not (type(value) in (int, float) and math.isfinite(value)):
+            raise ValueError(f"optimizer field {name!r} must be a finite number, not {value!r}")
+        setattr(model.optimizer, name, value)
     return model

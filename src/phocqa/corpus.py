@@ -364,6 +364,15 @@ def _parse_document(entry, position: int, word_types: dict[str, tuple[str, int]]
     return doc_id, tuple(transcriptions), word_lines, token_row, boxed, lines
 
 
+def parse_json(text: str, source) -> object:
+    """json.loads, but a nesting too deep for the parser raises ValueError
+    naming `source` instead of RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{source}: JSON nested too deeply to parse") from None
+
+
 def load_collection(path: str | Path) -> Collection:
     """Load and fully validate a collection JSON file; PHOCs are computed
     and packed here, once per distinct word, into one table that every
@@ -371,7 +380,7 @@ def load_collection(path: str | Path) -> Collection:
     words' line_index.  A malformed collection raises ValueError naming the
     document and field."""
     with open(path, encoding="utf-8") as f:
-        data = json.load(f)
+        data = parse_json(f.read(), path)
     if not isinstance(data, dict):
         raise ValueError(f"collection must be a JSON object, not {type(data).__name__}")
     entries = _list_field(data, "documents", "top level")
@@ -438,7 +447,7 @@ def load_questions(path: str | Path, collection: Collection) -> list[Question]:
     file raises ValueError naming the question (by id, or by position when
     it has no string id) and the field."""
     with open(path, encoding="utf-8") as f:
-        data = json.load(f)
+        data = parse_json(f.read(), path)
     if not isinstance(data, dict):
         raise ValueError(f"question file must be a JSON object, not {type(data).__name__}")
     questions = []

@@ -1,11 +1,13 @@
 """Minimal trainable numeric kernel: tape-based reverse-mode autodiff over
 numpy arrays, with exactly the operations the span-prediction network needs
 (matmul, add, softmax, cross-entropy, dropout, BLSTM, context-to-query
-attention) plus the ADADELTA update and a finite-difference gradient checker.
+attention) plus the ADADELTA update.  The finite-difference gradient checker
+that verifies them lives with the tests (tests/oracles.py).
 
-Each LSTM direction is one tape node (lstm_sequence) whose backward pass is
-hand-written backpropagation through time, so a BLSTM adds the same few
-nodes to the tape whatever the sequence length.
+Each LSTM direction is one tape node (lstm_sequence) over a fused (W, b)
+pair of parameter Tensors, whose backward pass is hand-written
+backpropagation through time, so a BLSTM adds the same few nodes to the
+tape whatever the sequence length.
 
 Everything runs in double precision; determinism requires single-threaded
 use and explicit seeded Generators for dropout and initialization.
@@ -244,50 +246,19 @@ def backward(loss: Tensor) -> None:
 # LSTM / BLSTM
 
 
-@dataclass
-class LstmParams:
-    """Fused gate parameters: W is (4H, D+H) with gate order i, f, o, g."""
-
-    W: Tensor
-    b: Tensor
-    hidden: int
-
-
-def init_lstm(input_dim: int, hidden: int, rng: np.random.Generator) -> LstmParams:
-    return LstmParams(
-        W=uniform_param((4 * hidden, input_dim + hidden), input_dim + hidden, rng),
-        b=uniform_param((4 * hidden,), input_dim + hidden, rng),
-        hidden=hidden,
-    )
-
-
-def uniform_param(shape, fan_in: int, rng: np.random.Generator) -> Tensor:
-    bound = 1.0 / math.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
-
-
-@dataclass
-class BlstmParams:
-    fwd: LstmParams
-    bwd: LstmParams
-
-
-def init_blstm(input_dim: int, hidden: int, rng: np.random.Generator) -> BlstmParams:
-    return BlstmParams(init_lstm(input_dim, hidden, rng), init_lstm(input_dim, hidden, rng))
-
-
-def lstm_sequence(X: Tensor, params: LstmParams, reverse: bool = False) -> Tensor:
+def lstm_sequence(X: Tensor, W: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
     """One LSTM direction over the rows of X (T x D), as a single tape node.
 
-    Returns the (T, hidden) hidden states; row t is the state after reading
-    row t, whichever way the rows are read.  The input-side product for all
-    timesteps is one matmul; only the recurrent product is sequential.  The
-    forward pass caches the gate activations and the states each step reads,
-    and the backward pass runs backpropagation through time over them.
+    W is (4H, D+H) and b is (4H,), with the gates fused in the order i, f,
+    o, g; the hidden size H is len(b) // 4.  Returns the (T, H) hidden
+    states; row t is the state after reading row t, whichever way the rows
+    are read.  The input-side product for all timesteps is one matmul; only
+    the recurrent product is sequential.  The forward pass caches the gate
+    activations and the states each step reads, and the backward pass runs
+    backpropagation through time over them.
     """
-    W, b = params.W, params.b
     T, D = X.shape
-    H = params.hidden
+    H = len(b.values) // 4
     Wx = W.values[:, :D]
     Wh = W.values[:, D:]
     Zx = X.values @ Wx.T  # T x 4H
@@ -342,9 +313,10 @@ def lstm_sequence(X: Tensor, params: LstmParams, reverse: bool = False) -> Tenso
     return Tensor(out, (X, W, b), bw)
 
 
-def blstm_matrix(X: Tensor, params: BlstmParams) -> Tensor:
-    """BLSTM over the rows of X; returns a (T, 2*hidden) tensor."""
-    return concat([lstm_sequence(X, params.fwd), lstm_sequence(X, params.bwd, reverse=True)], axis=1)
+def blstm_matrix(X: Tensor, fwd: tuple[Tensor, Tensor], bwd: tuple[Tensor, Tensor]) -> Tensor:
+    """BLSTM over the rows of X with the (W, b) pairs of the forward and
+    backward directions; returns a (T, 2*hidden) tensor."""
+    return concat([lstm_sequence(X, *fwd), lstm_sequence(X, *bwd, reverse=True)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +378,10 @@ def adadelta_step(params: dict[str, Tensor], state: AdadeltaState) -> None:
     t = np.empty(ADADELTA_BLOCK)
     t2 = np.empty(ADADELTA_BLOCK)
     for name, p in params.items():
-        eg2 = state.eg2.setdefault(name, np.zeros_like(p.values))
-        edx2 = state.edx2.setdefault(name, np.zeros_like(p.values))
+        for averages in (state.eg2, state.edx2):
+            if name not in averages:  # zeros, allocated on the parameter's first step
+                averages[name] = np.zeros_like(p.values)
+        eg2, edx2 = state.eg2[name], state.edx2[name]
         if p.grad is None:
             eg2 *= rho
             edx2 *= rho
@@ -441,49 +415,3 @@ def adadelta_step(params: dict[str, Tensor], state: AdadeltaState) -> None:
 def zero_grads(params: dict[str, Tensor]) -> None:
     for p in params.values():
         p.zero_grad()
-
-
-# ---------------------------------------------------------------------------
-# Gradient verification
-
-
-def finite_difference_check(
-    loss_fn,
-    params: dict[str, Tensor],
-    eps: float = 1e-5,
-    max_coords_per_tensor: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Compare analytic gradients against central finite differences.
-
-    loss_fn() must rebuild the graph from the current parameter values and
-    return a scalar Tensor, deterministically.  Returns the maximum relative
-    error over all checked coordinates.
-    """
-    zero_grads(params)
-    loss = loss_fn()
-    backward(loss)
-    analytic = {
-        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.values))
-        for name, p in params.items()
-    }
-    worst = 0.0
-    for name, p in params.items():
-        flat = p.values.reshape(-1)
-        coords = np.arange(flat.size)
-        if max_coords_per_tensor is not None and flat.size > max_coords_per_tensor:
-            if rng is None:
-                rng = np.random.default_rng(0)
-            coords = rng.choice(flat.size, size=max_coords_per_tensor, replace=False)
-        for idx in coords:
-            orig = flat[idx]
-            flat[idx] = orig + eps
-            up = float(loss_fn().values)
-            flat[idx] = orig - eps
-            down = float(loss_fn().values)
-            flat[idx] = orig
-            fd = (up - down) / (2.0 * eps)
-            an = analytic[name].reshape(-1)[idx]
-            rel = abs(an - fd) / max(abs(an), abs(fd), 1e-6)
-            worst = max(worst, rel)
-    return worst

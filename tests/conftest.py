@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import io
+import math
+
 import numpy as np
 import pytest
 
 from phocqa.corpus import Collection, Document, phoc_table
+from phocqa.neural import Tensor
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
 
@@ -26,6 +30,28 @@ def rows_with_bit_set(document: Document, word: int, bit: int) -> np.ndarray:
     rows = document.rows
     rows.view(np.uint8)[word, bit // 8] |= np.uint8(1 << bit % 8)
     return rows
+
+
+def draw_lstm(input_dim: int, hidden: int, rng: np.random.Generator) -> tuple[Tensor, Tensor]:
+    """A trainable LSTM (W, b) pair, W of shape (4*hidden, input_dim+hidden),
+    drawn uniformly from +-1/sqrt(input_dim + hidden), W first, as BidafModel
+    draws its own."""
+    bound = 1.0 / math.sqrt(input_dim + hidden)
+    W = rng.uniform(-bound, bound, size=(4 * hidden, input_dim + hidden))
+    b = rng.uniform(-bound, bound, size=(4 * hidden,))
+    return Tensor(W, requires_grad=True), Tensor(b, requires_grad=True)
+
+
+def draw_blstm(input_dim: int, hidden: int, rng: np.random.Generator):
+    """The forward and backward (W, b) pairs of a BLSTM, forward drawn first."""
+    return draw_lstm(input_dim, hidden, rng), draw_lstm(input_dim, hidden, rng)
+
+
+def npy_bytes(array: np.ndarray) -> bytes:
+    """The bytes of an .npy file holding `array`."""
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
 
 
 def make_collection(docs: dict[str, list[list[str]]]) -> Collection:

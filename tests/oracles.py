@@ -4,7 +4,10 @@ These are written against the definitions directly and deliberately share
 no code with the library: occupancy-rule PHOC bits, nested-loop max/mean
 document scoring, two-line snippet windows, set-arithmetic DIS, per-word
 PHOC bit flips, the unblocked per-tensor ADADELTA update and the
-double-loop constrained span argmax.
+double-loop constrained span argmax.  The one exception is the
+finite-difference gradient checker at the end: it takes the analytic
+gradients from the library's tape and compares them against central
+differences of the loss.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+
+from phocqa.neural import Tensor, backward, zero_grads
 
 ORACLE_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
 ORACLE_LEVELS = [2, 3, 4, 5]
@@ -127,3 +132,45 @@ def span_argmax_reference(start_logits, end_logits, max_span: int) -> tuple[int,
             if v > best[2]:
                 best = (s, e, v)
     return best
+
+
+def finite_difference_check(
+    loss_fn,
+    params: dict[str, Tensor],
+    eps: float = 1e-5,
+    max_coords_per_tensor: int | None = None,
+    rng: np.random.Generator | None = None,
+) -> float:
+    """Compare analytic gradients against central finite differences.
+
+    loss_fn() must rebuild the graph from the current parameter values and
+    return a scalar Tensor, deterministically.  Returns the maximum relative
+    error over all checked coordinates.
+    """
+    zero_grads(params)
+    loss = loss_fn()
+    backward(loss)
+    analytic = {
+        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.values))
+        for name, p in params.items()
+    }
+    worst = 0.0
+    for name, p in params.items():
+        flat = p.values.reshape(-1)
+        coords = np.arange(flat.size)
+        if max_coords_per_tensor is not None and flat.size > max_coords_per_tensor:
+            if rng is None:
+                rng = np.random.default_rng(0)
+            coords = rng.choice(flat.size, size=max_coords_per_tensor, replace=False)
+        for idx in coords:
+            orig = flat[idx]
+            flat[idx] = orig + eps
+            up = float(loss_fn().values)
+            flat[idx] = orig - eps
+            down = float(loss_fn().values)
+            flat[idx] = orig
+            fd = (up - down) / (2.0 * eps)
+            an = analytic[name].reshape(-1)[idx]
+            rel = abs(an - fd) / max(abs(an), abs(fd), 1e-6)
+            worst = max(worst, rel)
+    return worst

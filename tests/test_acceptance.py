@@ -20,8 +20,8 @@ from phocqa.retriever import doc_score, rank_collection
 from phocqa.snippet_qa import answer_attention
 from phocqa.synth import GeneratorSpec, generate
 
-from conftest import make_collection, make_document, random_word
-from oracles import dis_reference, doc_score_reference, phoc_reference
+from conftest import draw_blstm, make_collection, make_document, random_word
+from oracles import dis_reference, doc_score_reference, finite_difference_check, phoc_reference
 
 
 def ok(name):
@@ -139,7 +139,7 @@ def test_gradient_verification():
         b = nn.Tensor(rng.standard_normal(3), requires_grad=True)
         x = rng.standard_normal(4)
         assert (
-            nn.finite_difference_check(
+            finite_difference_check(
                 lambda: nn.cross_entropy(nn.softmax(nn.add(nn.matmul(W, nn.Tensor(x)), b)), 1),
                 {"W": W, "b": b},
             )
@@ -147,16 +147,16 @@ def test_gradient_verification():
         )
 
         # blstm
-        p = nn.init_blstm(3, 3, rng)
+        fwd, bwd = draw_blstm(3, 3, rng)
         xs = rng.standard_normal((4, 3))
         w = nn.Tensor(rng.standard_normal(6), requires_grad=True)
 
         def blstm_loss():
-            out = nn.blstm_matrix(nn.Tensor(xs), p)
+            out = nn.blstm_matrix(nn.Tensor(xs), fwd, bwd)
             return nn.cross_entropy(nn.softmax(nn.matmul(out, w)), 2)
 
-        params = {"fW": p.fwd.W, "fb": p.fwd.b, "bW": p.bwd.W, "bb": p.bwd.b, "w": w}
-        assert nn.finite_difference_check(blstm_loss, params) <= 1e-4
+        params = {"fW": fwd[0], "fb": fwd[1], "bW": bwd[0], "bb": bwd[1], "w": w}
+        assert finite_difference_check(blstm_loss, params) <= 1e-4
 
         # attention
         Hv = rng.standard_normal((4, 4))
@@ -168,7 +168,7 @@ def test_gradient_verification():
             att = nn.c2q_attention(nn.Tensor(Hv), nn.Tensor(Uv), ws)
             return nn.cross_entropy(nn.softmax(nn.matmul(att, wo)), 0)
 
-        assert nn.finite_difference_check(att_loss, {"ws": ws, "wo": wo}) <= 1e-4
+        assert finite_difference_check(att_loss, {"ws": ws, "wo": wo}) <= 1e-4
 
     # full BiDAF loss graph, both modes
     collection, questions = generate(
@@ -184,7 +184,7 @@ def test_gradient_verification():
                 bidaf.BidafConfig(hidden=3, pos_dim=4, dropout_rate=0.0, mode=mode), seed=seed
             )
             gold = q.gold_line_span if mode == "line" else q.gold_word_span
-            err = nn.finite_difference_check(
+            err = finite_difference_check(
                 lambda: bidaf.example_loss(doc, phocs, gold, model),
                 model.parameters(),
                 max_coords_per_tensor=2,

@@ -1,4 +1,7 @@
+import io
 import json
+import re
+import zipfile
 
 import numpy as np
 import pytest
@@ -16,10 +19,42 @@ from phocqa.bidaf import (
 from phocqa.corpus import preprocess_query
 from phocqa.synth import GeneratorSpec, generate
 
-from conftest import make_document
-from oracles import adadelta_reference, span_argmax_reference
+from conftest import make_document, npy_bytes
+from oracles import adadelta_reference, finite_difference_check, span_argmax_reference
 
 SMALL = dict(hidden=6, pos_dim=6, dropout_rate=0.0)
+
+
+def flip_bit(raw: bytes, at: int, bit: int = 0) -> bytes:
+    return raw[:at] + bytes([raw[at] ^ 1 << bit]) + raw[at + 1 :]
+
+
+def first_parameter_npy(raw: bytes) -> int:
+    """Offset of the .npy data of the archive's first parameter.  A
+    parameter's array is larger than zipfile's read-ahead, so its header is
+    parsed before the member's CRC is checked."""
+    return raw.index(b"\x93NUMPY", raw.index(b"p:ctx_enc.fwd.W"))
+
+
+def archive_claiming_a_huge_array(raw: bytes) -> bytes:
+    """An archive whose one member has a .npy header for 10**12 float64 values but 64 bytes of data."""
+    member = io.BytesIO()
+    np.lib.format.write_array_header_1_0(member, {"descr": "<f8", "fortran_order": False, "shape": (10**12,)})
+    member.write(bytes(64))
+    archive = io.BytesIO()
+    with zipfile.ZipFile(archive, "w") as zf:
+        zf.writestr("p:w_end.npy", member.getvalue())
+    return archive.getvalue()
+
+
+UNREADABLE = {
+    "empty": lambda raw: b"",
+    "truncated": lambda raw: raw[: len(raw) // 2],
+    "npy-array-file": lambda raw: npy_bytes(np.zeros(3)),
+    # the header dict loses its closing brace, so it fails to tokenize
+    "open-npy-header": lambda raw: flip_bit(raw, raw.index(b"}", first_parameter_npy(raw))),
+    "huge-npy-header": archive_claiming_a_huge_array,
+}
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +174,7 @@ class TestForward:
         model = BidafModel(BidafConfig(**SMALL), seed=0)
         inputs = []
         blstm = bidaf.blstm_matrix
-        monkeypatch.setattr(bidaf, "blstm_matrix", lambda x, p: inputs.append(x.values.copy()) or blstm(x, p))
+        monkeypatch.setattr(bidaf, "blstm_matrix", lambda x, *p: inputs.append(x.values.copy()) or blstm(x, *p))
         bidaf.forward(doc, [doc.words[0].phoc], model)
         pos_dim = model.config.pos_dim
         expected = np.stack(
@@ -303,7 +338,7 @@ class TestFullGraphGradient:
         def loss_fn():
             return bidaf.example_loss(doc, phocs, gold, model)
 
-        err = nn.finite_difference_check(
+        err = finite_difference_check(
             loss_fn, model.parameters(), max_coords_per_tensor=3, rng=np.random.default_rng(0)
         )
         assert err <= 1e-4
@@ -337,6 +372,63 @@ class TestCheckpoint:
         loaded = bidaf.load_checkpoint(path)
         for k in model.optimizer.eg2:
             np.testing.assert_array_equal(model.optimizer.eg2[k], loaded.optimizer.eg2[k])
+
+    def test_load_draws_no_random_numbers(self, tiny_data, tmp_path, monkeypatch):
+        path = self._saved(tiny_data, tmp_path)
+        expected = bidaf.load_checkpoint(path).parameters()
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint made a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        loaded = bidaf.load_checkpoint(path).parameters()
+        assert list(loaded) == list(expected)
+        for name, p in expected.items():
+            assert loaded[name].values.tobytes() == p.values.tobytes(), name
+
+    @pytest.mark.parametrize("damage", UNREADABLE.values(), ids=UNREADABLE.keys())
+    def test_rejects_unreadable_file_naming_it(self, tiny_data, tmp_path, damage):
+        path = self._saved(tiny_data, tmp_path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a readable checkpoint archive"):
+            bidaf.load_checkpoint(path)
+
+    def test_damaged_archive_loads_a_working_model_or_raises_value_error(self, tiny_data, tmp_path):
+        """Every bit of the first parameter's .npy header (its length field
+        too) and of the first central directory entry flipped in turn, seeded
+        random bit flips anywhere and seeded truncations: each file loads a
+        model that answers with a finite confidence, or raises ValueError."""
+        raw = self._saved(tiny_data, tmp_path).read_bytes()
+        header = first_parameter_npy(raw)
+        directory = zipfile.ZipFile(io.BytesIO(raw)).start_dir
+        rng = np.random.default_rng(0)
+        damaged = [
+            flip_bit(raw, at, bit)
+            for at in [*range(header, header + 74), *range(directory, directory + 46)]
+            for bit in range(8)
+        ]
+        flips = zip(rng.integers(len(raw), size=200), rng.integers(8, size=200))
+        damaged += [flip_bit(raw, int(at), int(bit)) for at, bit in flips]
+        damaged += [raw[:n] for n in rng.integers(len(raw), size=100)]
+        collection, questions = tiny_data
+        doc = collection[questions[0].gold_doc_id]
+        query = preprocess_query(questions[0].text)[1]
+        loaded = 0
+        for data in damaged:
+            try:
+                model = bidaf.load_checkpoint(io.BytesIO(data))  # np.load reads file objects as it reads paths
+            except ValueError:
+                continue
+            loaded += 1
+            assert np.isfinite(bidaf.predict(doc, query, model).confidence)
+        assert loaded < len(damaged)
+
+    def test_rejects_meta_nested_too_deeply(self, tmp_path):
+        path = tmp_path / "deep.ckpt"
+        with open(path, "wb") as f:
+            np.savez(f, __meta__=np.frombuffer(b"[" * 100_000 + b"]" * 100_000, dtype=np.uint8))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: checkpoint '__meta__': JSON nested too deeply"):
+            bidaf.load_checkpoint(path)
 
     def test_rejects_unknown_format(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -400,6 +492,13 @@ class TestCheckpoint:
         path = self._saved(tiny_data, tmp_path)
         self._rewrite(path, lambda a: a.update({key: np.zeros(3)}))
         with pytest.raises(ValueError, match=key):
+            bidaf.load_checkpoint(path)
+
+    @pytest.mark.parametrize("dtype", ["<U3", [("a", "<f8"), ("b", "<i4")]], ids=["string", "record"])
+    def test_rejects_array_not_floating_point(self, tiny_data, tmp_path, dtype):
+        path = self._saved(tiny_data, tmp_path)
+        self._rewrite(path, lambda a: a.update({"p:b_end": np.zeros((), dtype=dtype)}))
+        with pytest.raises(ValueError, match="'p:b_end' holds .* not floating point"):
             bidaf.load_checkpoint(path)
 
     def test_rejects_missing_meta(self, tiny_data, tmp_path):

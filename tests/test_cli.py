@@ -8,6 +8,8 @@ from phocqa.corpus import load_collection
 from phocqa.retriever import rank_collection
 from phocqa.corpus import preprocess_query
 
+from conftest import npy_bytes
+
 
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
@@ -63,6 +65,12 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err == "invalid collection: document 'a': field 'words' must be a list, not int\n"
 
+    def test_nesting_too_deep_without_traceback(self, tmp_path, capsys):
+        p = tmp_path / "deep.json"
+        p.write_text('{"documents": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main(["validate", "--collection", str(p)]) == 1
+        assert capsys.readouterr().err == f"invalid collection: {p}: JSON nested too deeply to parse\n"
+
     def test_empty_file(self, tmp_path, capsys):
         p = tmp_path / "empty.json"
         p.write_text("")
@@ -95,6 +103,12 @@ class TestRetrieve:
         out = capsys.readouterr().out.strip().splitlines()
         expected = rank_collection(collection, preprocess_query(text)[1], 3)
         assert out == [f"{r.rank} {r.doc_id} {r.score:.6f}" for r in expected]
+
+    def test_nesting_too_deep_without_traceback(self, tmp_path, capsys):
+        p = tmp_path / "deep.json"
+        p.write_text('{"documents": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main(["retrieve", "dear sir", "--collection", str(p)]) == 1
+        assert capsys.readouterr().err == f"error: {p}: JSON nested too deeply to parse\n"
 
     def test_deterministic_with_flip(self, corpus_dir, capsys):
         argv = [
@@ -228,6 +242,34 @@ class TestTrainAnswerEval:
         )
         assert rc == 0
         assert json.loads(report.read_text())["per_question"]
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda raw: b"",
+            lambda raw: raw[: len(raw) // 2],
+            lambda raw: raw[:1000] + bytes([raw[1000] ^ 1]) + raw[1001:],
+            lambda raw: npy_bytes(np.zeros(3)),
+        ],
+        ids=["empty", "truncated", "bit-flip", "npy-array-file"],
+    )
+    def test_eval_rejects_unreadable_checkpoint_without_traceback(
+        self, corpus_dir, checkpoint, tmp_path, capsys, damage
+    ):
+        ckpt = tmp_path / "damaged.ckpt"
+        ckpt.write_bytes(damage(checkpoint.read_bytes()))
+        rc = main(
+            [
+                "eval",
+                "--collection", str(corpus_dir / "collection.json"),
+                "--questions", str(corpus_dir / "questions.json"),
+                "--backend", "bidaf-line",
+                "--checkpoint", str(ckpt),
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {ckpt}: not a readable checkpoint archive"), err
 
     def test_backend_mode_mismatch(self, corpus_dir, checkpoint, capsys):
         rc = main(

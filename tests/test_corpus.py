@@ -56,6 +56,13 @@ VALID = {
 }
 
 
+def write_deeply_nested(tmp_path, key, depth=100_000):
+    """A file {key: [[[...]]]} nested `depth` lists deep, past the JSON parser's recursion limit."""
+    p = tmp_path / "nested.json"
+    p.write_text(f'{{"{key}": ' + "[" * depth + "]" * depth + "}")
+    return p
+
+
 def write_json(tmp_path, data, name="collection.json"):
     p = tmp_path / name
     p.write_text(json.dumps(data))
@@ -113,6 +120,11 @@ class TestLoadCollection:
         assert [w.transcription for w in doc.words] == ["dear", "sir", "thanks"]
         assert doc.words[1].bbox == (1, 2, 30, 10)
         np.testing.assert_array_equal(doc.words[0].phoc, phoc_encode("dear"))
+
+    def test_nesting_too_deep_names_the_file(self, tmp_path):
+        path = write_deeply_nested(tmp_path, "documents")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: JSON nested too deeply"):
+            load_collection(path)
 
     def test_duplicate_doc_id(self, tmp_path):
         data = {"documents": VALID["documents"] + [VALID["documents"][0]]}
@@ -355,6 +367,12 @@ class TestLoadQuestions:
         mutate(data)
         with pytest.raises(ValueError, match=message):
             load_questions(write_json(tmp_path, data, "q.json"), collection)
+
+    def test_nesting_too_deep_names_the_file(self, tmp_path):
+        collection = load_collection(write_json(tmp_path, VALID))
+        path = write_deeply_nested(tmp_path, "questions")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: JSON nested too deeply"):
+            load_questions(path, collection)
 
     def test_top_level_not_object(self, tmp_path):
         collection = load_collection(write_json(tmp_path, VALID))

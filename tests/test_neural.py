@@ -5,7 +5,8 @@ import pytest
 
 from phocqa import neural as nn
 
-from oracles import adadelta_reference
+from conftest import draw_blstm, draw_lstm
+from oracles import adadelta_reference, finite_difference_check
 
 
 def sum_of_squares(x: nn.Tensor) -> nn.Tensor:
@@ -77,68 +78,63 @@ class TestLstmStep:
     """The per-step recurrence of lstm_sequence, with the carried h/c state."""
 
     def zero_params(self, d, h):
-        return nn.LstmParams(
-            W=nn.Tensor(np.zeros((4 * h, d + h)), requires_grad=True),
-            b=nn.Tensor(np.zeros(4 * h), requires_grad=True),
-            hidden=h,
-        )
+        return nn.Tensor(np.zeros((4 * h, d + h)), requires_grad=True), nn.Tensor(np.zeros(4 * h), requires_grad=True)
 
     def test_zero_weights_zero_output(self):
         p = self.zero_params(3, 2)
         for reverse in (False, True):
-            out = nn.lstm_sequence(nn.Tensor(np.ones((3, 3))), p, reverse=reverse)
+            out = nn.lstm_sequence(nn.Tensor(np.ones((3, 3))), *p, reverse=reverse)
             np.testing.assert_array_equal(out.values, np.zeros((3, 2)))
 
     def test_scalar_oracle(self, rng):
         # independent per-gate computation with scalar math over 3 steps
-        p = nn.init_lstm(2, 2, rng)
+        W, b = draw_lstm(2, 2, rng)
         xs = rng.standard_normal((3, 2))
         for reverse in (False, True):
-            out = nn.lstm_sequence(nn.Tensor(xs), p, reverse=reverse).values
-            expected = scalar_lstm(p.W.values, p.b.values, xs, reverse)
+            out = nn.lstm_sequence(nn.Tensor(xs), W, b, reverse=reverse).values
+            expected = scalar_lstm(W.values, b.values, xs, reverse)
             np.testing.assert_allclose(out, expected, rtol=0, atol=1e-14)
 
     def test_gradients(self, rng):
-        p = nn.init_lstm(3, 2, rng)
+        W, b = draw_lstm(3, 2, rng)
         xs = rng.standard_normal((3, 3))
         for reverse in (False, True):
 
             def loss_fn():
-                return sum_of_squares(nn.lstm_sequence(nn.Tensor(xs), p, reverse=reverse))
+                return sum_of_squares(nn.lstm_sequence(nn.Tensor(xs), W, b, reverse=reverse))
 
-            assert nn.finite_difference_check(loss_fn, {"W": p.W, "b": p.b}) <= 1e-4
+            assert finite_difference_check(loss_fn, {"W": W, "b": b}) <= 1e-4
 
 
 class TestBlstm:
     def test_length_one(self, rng):
-        p = nn.init_blstm(3, 2, rng)
-        out = nn.blstm_matrix(nn.Tensor(rng.standard_normal((1, 3))), p)
+        p = draw_blstm(3, 2, rng)
+        out = nn.blstm_matrix(nn.Tensor(rng.standard_normal((1, 3))), *p)
         assert out.values.shape == (1, 4)
 
     def test_reversal_consistency_bit_exact(self, rng):
-        p = nn.init_blstm(3, 4, rng)
+        fwd, bwd = draw_blstm(3, 4, rng)
         xs = rng.standard_normal((6, 3))
-        out = nn.blstm_matrix(nn.Tensor(xs), p).values
+        out = nn.blstm_matrix(nn.Tensor(xs), fwd, bwd).values
         # the backward half on xs is the forward half of a run with the two
         # directions swapped on the reversed rows, read back to front
-        swapped = nn.BlstmParams(fwd=p.bwd, bwd=p.fwd)
-        out_swapped = nn.blstm_matrix(nn.Tensor(xs[::-1]), swapped).values
+        out_swapped = nn.blstm_matrix(nn.Tensor(xs[::-1]), bwd, fwd).values
         np.testing.assert_array_equal(out[:, 4:], out_swapped[::-1, :4])
         np.testing.assert_array_equal(out[:, :4], out_swapped[::-1, 4:])
 
     def test_gradients(self, rng):
-        p = nn.init_blstm(2, 2, rng)
+        fwd, bwd = draw_blstm(2, 2, rng)
         xs = rng.standard_normal((4, 2))
-        params = {"fW": p.fwd.W, "fb": p.fwd.b, "bW": p.bwd.W, "bb": p.bwd.b}
+        params = {"fW": fwd[0], "fb": fwd[1], "bW": bwd[0], "bb": bwd[1]}
 
         def loss_fn():
-            return sum_of_squares(nn.blstm_matrix(nn.Tensor(xs), p))
+            return sum_of_squares(nn.blstm_matrix(nn.Tensor(xs), fwd, bwd))
 
-        assert nn.finite_difference_check(loss_fn, params) <= 1e-4
+        assert finite_difference_check(loss_fn, params) <= 1e-4
 
     def test_tape_size_independent_of_length(self, rng):
-        p = nn.init_blstm(3, 2, rng)
-        sizes = {tape_nodes(nn.blstm_matrix(nn.Tensor(rng.standard_normal((T, 3))), p)) for T in (1, 5, 40)}
+        p = draw_blstm(3, 2, rng)
+        sizes = {tape_nodes(nn.blstm_matrix(nn.Tensor(rng.standard_normal((T, 3))), *p)) for T in (1, 5, 40)}
         # X, two (W, b) pairs, one node per direction and their concat
         assert sizes == {8}
 
@@ -255,7 +251,7 @@ class TestC2QAttention:
         def loss_fn():
             return sum_of_squares(nn.c2q_attention(nn.Tensor(Hv), nn.Tensor(Uv), ws))
 
-        assert nn.finite_difference_check(loss_fn, {"ws": ws}) <= 1e-4
+        assert finite_difference_check(loss_fn, {"ws": ws}) <= 1e-4
 
 
 class TestAdadelta:
@@ -382,34 +378,34 @@ class TestPerLayerGradients:
         def loss_fn():
             return nn.cross_entropy(nn.softmax(dense(nn.Tensor(x), W, b)), 1)
 
-        assert nn.finite_difference_check(loss_fn, {"W": W, "b": b}) <= 1e-4
+        assert finite_difference_check(loss_fn, {"W": W, "b": b}) <= 1e-4
 
     @pytest.mark.parametrize("seed", range(10))
     def test_blstm_with_heads(self, seed):
         rng = np.random.default_rng(seed)
-        p = nn.init_blstm(3, 3, rng)
+        fwd, bwd = draw_blstm(3, 3, rng)
         w = nn.Tensor(rng.standard_normal(6), requires_grad=True)
         xs = rng.standard_normal((4, 3))
-        params = {"fW": p.fwd.W, "fb": p.fwd.b, "bW": p.bwd.W, "bb": p.bwd.b, "w": w}
+        params = {"fW": fwd[0], "fb": fwd[1], "bW": bwd[0], "bb": bwd[1], "w": w}
 
         def loss_fn():
-            out = nn.blstm_matrix(nn.Tensor(xs), p)
+            out = nn.blstm_matrix(nn.Tensor(xs), fwd, bwd)
             return nn.cross_entropy(nn.softmax(nn.matmul(out, w)), 2)
 
-        assert nn.finite_difference_check(loss_fn, params) <= 1e-4
+        assert finite_difference_check(loss_fn, params) <= 1e-4
 
     @pytest.mark.parametrize("seed", range(10))
     def test_lstm_input(self, seed):
         # X as the only trainable leaf checks the hand-written dX alone
         rng = np.random.default_rng(seed)
         X = nn.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-        p = nn.init_blstm(3, 3, rng)
+        p = draw_blstm(3, 3, rng)
         w = nn.Tensor(rng.standard_normal(6))
 
         def loss_fn():
-            return nn.cross_entropy(nn.softmax(nn.matmul(nn.blstm_matrix(X, p), w)), 1)
+            return nn.cross_entropy(nn.softmax(nn.matmul(nn.blstm_matrix(X, *p), w)), 1)
 
-        assert nn.finite_difference_check(loss_fn, {"X": X}) <= 1e-4
+        assert finite_difference_check(loss_fn, {"X": X}) <= 1e-4
 
     @pytest.mark.parametrize("seed", range(10))
     def test_attention(self, seed):
@@ -423,4 +419,4 @@ class TestPerLayerGradients:
             att = nn.c2q_attention(nn.Tensor(Hv), nn.Tensor(Uv), ws)
             return nn.cross_entropy(nn.softmax(nn.matmul(att, w_out)), 0)
 
-        assert nn.finite_difference_check(loss_fn, {"ws": ws, "w_out": w_out}) <= 1e-4
+        assert finite_difference_check(loss_fn, {"ws": ws, "w_out": w_out}) <= 1e-4
