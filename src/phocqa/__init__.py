@@ -15,9 +15,9 @@ from .corpus import (
     write_collection,
     write_questions,
 )
-from .retriever import RetrievalResult, doc_score, rank_collection
+from .retriever import RetrievalResult, rank_collection
 from .snippet_qa import answer_attention
-from .evaluation import AnswerBoxes, EvalReport, build_boxes, dis, evaluate, top_k_accuracy
+from .evaluation import AnswerBoxes, EvalReport, build_boxes, dis, evaluate
 from .synth import GeneratorSpec, generate
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "write_questions",
     "preprocess_query",
     "RetrievalResult",
-    "doc_score",
     "rank_collection",
     "AnswerPrediction",
     "answer_attention",
@@ -42,7 +41,6 @@ __all__ = [
     "EvalReport",
     "build_boxes",
     "dis",
-    "top_k_accuracy",
     "evaluate",
     "GeneratorSpec",
     "generate",

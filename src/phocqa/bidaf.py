@@ -377,10 +377,10 @@ def load_checkpoint(path) -> BidafModel:
     """Load a model saved by save_checkpoint, building its parameters from
     the archive's arrays without drawing any.  The archive must hold exactly
     the parameters parameter_layout lists for its config, each with its
-    shape, and optimizer averages only for those parameters; anything else,
-    a missing '__meta__' key, a config field BidafConfig lacks or rejects, a
-    non-finite optimizer setting or a file that is not an .npz archive
-    raises ValueError naming the key, field or file."""
+    shape, and optimizer averages only for those parameters, all finite;
+    anything else, a missing '__meta__' key, a config field BidafConfig
+    lacks or rejects, a non-finite optimizer setting or a file that is not
+    an .npz archive raises ValueError naming the key, field or file."""
     arrays = _read_archive(path)
     if "__meta__" not in arrays:
         raise ValueError("checkpoint lacks key '__meta__'")
@@ -416,7 +416,9 @@ def load_checkpoint(path) -> BidafModel:
             )
         if values.dtype.kind != "f":
             raise ValueError(f"checkpoint key {key!r} holds {values.dtype} values, not floating point")
-        arrays[key] = values.astype(np.float64, order="C")  # adadelta_step sweeps flat views
+        arrays[key] = values = values.astype(np.float64, order="C")  # adadelta_step sweeps flat views
+        if not np.isfinite(values).all():
+            raise ValueError(f"checkpoint key {key!r} holds a non-finite value")
     model = BidafModel.__new__(BidafModel)
     model._adopt(config, {name: arrays[f"p:{name}"] for name in shapes})
     for key, values in arrays.items():

@@ -10,9 +10,10 @@ Document.words.  Recognition noise (the "predicted PHOC" condition) is
 simulated by independent Bernoulli bit flips on the document-side rows;
 query vectors stay exact.
 
-For scoring, a collection is held as a packed index: each distinct word
-row once, plus a token-to-row map and per-document offsets.  The packing
-format is defined here and nowhere else.
+For scoring, a collection is held as a packed index: the rows of each
+distinct table, stacked once in first-seen order, plus a token-to-row map
+and per-document offsets.  The packing format is defined here and nowhere
+else.
 """
 
 from __future__ import annotations
@@ -115,7 +116,9 @@ class Document:
 
     @property
     def words(self) -> tuple[Word, ...]:
-        """A Word view of every token, built on each call."""
+        """A Word view of every token, built on each call.  The package
+        reads the columns; the view is for callers that want one object per
+        word, such as the benchmark's checks in phocbench/measure.py."""
         bboxes = self.bboxes or (None,) * len(self)
         return tuple(
             Word(i, line, text, self.table[row], bbox)
@@ -165,13 +168,12 @@ class Collection:
 
 PACKED_WORDS = 8  # uint64 words per packed PHOC: 504 bits, zero-padded to 512
 _PHOC_BYTES = (PHOC_DIM + 7) // 8  # 63; byte 63 of a packed row holds the padding bits
-_ROW_RECORD = np.dtype((np.void, PACKED_WORDS * 8))
 
 
 @dataclass(frozen=True)
 class PackedIndex:
     """Word rows of a document sequence as packed types and a token-to-type
-    map; build_index holds each distinct row once.
+    map; build_index stacks each distinct table once.
 
     Bit i of a PHOC is bit i % 8 of byte i // 8 of its packed row, and the
     row's bytes are read as PACKED_WORDS uint64 words in native byte order;
@@ -183,7 +185,7 @@ class PackedIndex:
     PACKED_WORDS passes over contiguous V-length rows.
     """
 
-    types: np.ndarray  # (PACKED_WORDS, V) uint64, distinct packed rows as columns
+    types: np.ndarray  # (PACKED_WORDS, V) uint64, packed rows as columns
     counts: np.ndarray  # (V,) set bits of each type
     token_type: np.ndarray  # (N,) type of each token, documents concatenated
     offsets: np.ndarray  # (D,) first token of each document
@@ -224,26 +226,22 @@ def phoc_table(texts: Iterable[str]) -> np.ndarray:
 
 
 def build_index(documents: Sequence[Document]) -> PackedIndex:
-    """Stack the packed rows of `documents`, in order, into one index.
+    """Stack the tables of `documents` into one index, in document order.
 
-    Each distinct table is stacked once, however many documents share it,
-    and types are deduplicated by content, so tokens that share a
-    transcription share a type and so do equal rows on a corrupted
-    collection.
+    Each distinct table is stacked once, in first-seen order, however many
+    documents share it, and a token's type is its table row offset by where
+    that table starts in the stack.  Rows are not compared: equal rows in
+    separate tables stay separate types.
     """
     offsets = np.cumsum([0] + [len(doc) for doc in documents], dtype=np.intp)[:-1]
     tables = {id(doc.table): doc.table for doc in documents}  # in first-seen order
     first = dict(zip(tables, np.cumsum([0] + [len(t) for t in tables.values()]).tolist()))
-    token_row = [np.empty(0, dtype=np.intp)] + [doc.token_row + first[id(doc.table)] for doc in documents]
-    rows = np.concatenate([np.empty((0, PACKED_WORDS), dtype=np.uint64)] + list(tables.values()))
-    # Rows viewed as opaque 64-byte records: np.unique sorts these far faster
-    # than it sorts rows with axis=0.
-    records, row_type = np.unique(rows.view(_ROW_RECORD).ravel(), return_inverse=True)
-    types = np.ascontiguousarray(records.view(np.uint64).reshape(-1, PACKED_WORDS).T)
+    token_type = [np.empty(0, dtype=np.intp)] + [doc.token_row + first[id(doc.table)] for doc in documents]
+    types = np.concatenate([np.empty((PACKED_WORDS, 0), dtype=np.uint64)] + [t.T for t in tables.values()], axis=1)
     return PackedIndex(
         types=types,
         counts=np.bitwise_count(types).sum(axis=0),
-        token_type=row_type[np.concatenate(token_row)],
+        token_type=np.concatenate(token_type),
         offsets=offsets,
         doc_ids=tuple(doc.doc_id for doc in documents),
     )
@@ -252,8 +250,8 @@ def build_index(documents: Sequence[Document]) -> PackedIndex:
 def document_index(document: Document) -> PackedIndex:
     """The packed index of one document with a type per token, in order.
 
-    Unlike build_index it does not deduplicate, which for a single document
-    costs more than the duplicates it would save.
+    Unlike build_index it holds only the document's own rows, not the whole
+    table it may share with the rest of its collection.
     """
     rows = document.rows
     return PackedIndex(
@@ -409,6 +407,8 @@ def load_collection(path: str | Path) -> Collection:
 
 
 def write_collection(collection: Collection, path: str | Path) -> None:
+    """Write `collection` as load_collection reads it, straight from each
+    document's columns."""
     data = {
         "documents": [
             {
@@ -418,12 +418,14 @@ def write_collection(collection: Collection, path: str | Path) -> None:
                 ],
                 "words": [
                     {
-                        "word_index": w.word_index,
-                        "line_index": w.line_index,
-                        "text": w.transcription,
-                        **({"bbox": list(w.bbox)} if w.bbox is not None else {}),
+                        "word_index": i,
+                        "line_index": line,
+                        "text": text,
+                        **({"bbox": list(bbox)} if bbox is not None else {}),
                     }
-                    for w in doc.words
+                    for i, (line, text, bbox) in enumerate(
+                        zip(doc.word_lines.tolist(), doc.transcriptions, doc.bboxes or (None,) * len(doc))
+                    )
                 ],
             }
             for doc in collection.ordered()
@@ -445,12 +447,13 @@ _QUESTION_FIELDS = (
 def load_questions(path: str | Path, collection: Collection) -> list[Question]:
     """Load and validate a question file against `collection`.  A malformed
     file raises ValueError naming the question (by id, or by position when
-    it has no string id) and the field."""
+    it has no string id) and the field; a repeated question_id raises
+    ValueError naming it."""
     with open(path, encoding="utf-8") as f:
         data = parse_json(f.read(), path)
     if not isinstance(data, dict):
         raise ValueError(f"question file must be a JSON object, not {type(data).__name__}")
-    questions = []
+    questions = {}
     for position, q in enumerate(_list_field(data, "questions", "top level")):
         if not isinstance(q, dict):
             raise ValueError(f"question {position} is not an object")
@@ -461,6 +464,8 @@ def load_questions(path: str | Path, collection: Collection) -> list[Question]:
                 raise ValueError(f"{where}: field {key!r} is missing")
             if type(q[key]) is not kind:  # exact: a bool is not an integer here
                 raise ValueError(f"{where}: field {key!r} must be {described}, not {q[key]!r}")
+        if qid in questions:
+            raise ValueError(f"duplicate question_id {qid!r}")
         doc = collection.documents.get(q["gold_doc_id"])
         if doc is None:
             raise ValueError(f"{where}: unknown gold_doc_id {q['gold_doc_id']!r}")
@@ -471,17 +476,15 @@ def load_questions(path: str | Path, collection: Collection) -> list[Question]:
             tokens = tuple(query_tokens(q["text"]))
         except ValueError as e:
             raise ValueError(f"{where}: field 'text': {e}") from None
-        questions.append(
-            Question(
-                question_id=qid,
-                text=q["text"],
-                tokens=tokens,
-                gold_doc_id=doc.doc_id,
-                gold_word_span=span,
-                gold_line_span=(doc.line_of_word(span[0]), doc.line_of_word(span[1])),
-            )
+        questions[qid] = Question(
+            question_id=qid,
+            text=q["text"],
+            tokens=tokens,
+            gold_doc_id=doc.doc_id,
+            gold_word_span=span,
+            gold_line_span=(doc.line_of_word(span[0]), doc.line_of_word(span[1])),
         )
-    return questions
+    return list(questions.values())
 
 
 def write_questions(questions: list[Question], path: str | Path) -> None:

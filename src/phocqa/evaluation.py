@@ -11,7 +11,7 @@ correct when DIS is strictly above the threshold (0.8).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -37,7 +37,7 @@ class QuestionResult:
     start: int
     end: int
     confidence: float
-    retrieval_rank_of_gold: int | None
+    retrieval_rank_of_gold: int | None  # None: the gold document is not in the top k
 
 
 @dataclass(frozen=True)
@@ -52,18 +52,7 @@ class EvalReport:
         return json.dumps(
             {
                 "meta": self.meta,
-                "per_question": [
-                    {
-                        "question_id": r.question_id,
-                        "dis": r.dis,
-                        "predicted_doc": r.predicted_doc,
-                        "start": r.start,
-                        "end": r.end,
-                        "confidence": r.confidence,
-                        "retrieval_rank_of_gold": r.retrieval_rank_of_gold,
-                    }
-                    for r in self.per_question
-                ],
+                "per_question": [asdict(r) for r in self.per_question],
                 "summary": {"accuracy": self.accuracy, "mean_dis": self.mean_dis, "top5": self.top5},
             },
             indent=1,
@@ -104,19 +93,6 @@ def dis(boxes: AnswerBoxes) -> float:
     return recall * precision
 
 
-def top_k_accuracy(
-    results: dict[str, list[RetrievalResult]], questions: list[Question], k: int = 5
-) -> float:
-    if not questions:
-        return 0.0
-    hits = sum(
-        1
-        for q in questions
-        if any(r.doc_id == q.gold_doc_id for r in results[q.question_id][:k])
-    )
-    return hits / len(questions)
-
-
 def answer_collection(
     collection: Collection,
     query: list[np.ndarray],
@@ -151,13 +127,11 @@ def evaluate(
     from .corpus import preprocess_query
 
     per_question = []
-    retrieval: dict[str, list[RetrievalResult]] = {}
     for q in questions:
         if q.gold_doc_id not in collection.documents:
             raise ValueError(f"question {q.question_id!r}: gold_doc_id {q.gold_doc_id!r} not in collection")
         query = preprocess_query(q.text)[1]
         pred, retrieved = answer_collection(collection, query, qa_model, k)
-        retrieval[q.question_id] = retrieved
         if pred.doc_id == q.gold_doc_id:
             boxes = build_boxes(
                 collection[q.gold_doc_id], q.gold_word_span, (pred.start_line, pred.end_line)
@@ -183,5 +157,5 @@ def evaluate(
         per_question=tuple(per_question),
         accuracy=sum(1 for r in per_question if r.dis > threshold) / n if n else 0.0,
         mean_dis=sum(r.dis for r in per_question) / n if n else 0.0,
-        top5=top_k_accuracy(retrieval, questions, k),
+        top5=sum(1 for r in per_question if r.retrieval_rank_of_gold is not None) / n if n else 0.0,
     )

@@ -3,7 +3,7 @@
 A document's relevance to a query is the mean over query PHOCs of the
 maximum cosine similarity against any word PHOC in the document.  The whole
 collection is scored in one vectorized pass over its packed index
-(corpus.PackedIndex): each query row meets each distinct word vector once,
+(corpus.PackedIndex): each query row meets each row of the index once,
 through AND and popcount, and the per-token similarities are reduced to
 per-document maxima.  Ties are broken by doc_id so the ordering is
 deterministic.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Collection, Document, PackedIndex, document_index, pack_phocs
+from .corpus import Collection, PackedIndex, pack_phocs
 
 
 @dataclass(frozen=True)
@@ -58,12 +58,6 @@ def segment_maxima(index: PackedIndex, query: list[np.ndarray], starts: np.ndarr
     np.divide(dots, sims, out=sims)
     maxima = np.maximum.reduceat(np.take(sims, index.token_type, axis=1), starts, axis=1)  # (J, S)
     return np.ascontiguousarray(maxima.T)
-
-
-def doc_score(document: Document, query: list[np.ndarray]) -> float:
-    """Mean over query vectors of the max cosine similarity to any document word."""
-    index = document_index(document)
-    return float(segment_maxima(index, query, index.offsets).mean(axis=1)[0])
 
 
 def rank_collection(collection: Collection, query: list[np.ndarray], k: int) -> list[RetrievalResult]:

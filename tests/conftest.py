@@ -8,6 +8,7 @@ import pytest
 
 from phocqa.corpus import Collection, Document, phoc_table
 from phocqa.neural import Tensor
+from phocqa.retriever import rank_collection
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
 
@@ -56,6 +57,12 @@ def npy_bytes(array: np.ndarray) -> bytes:
 
 def make_collection(docs: dict[str, list[list[str]]]) -> Collection:
     return Collection({k: make_document(k, v) for k, v in docs.items()})
+
+
+def score_document(document: Document, query: list[np.ndarray]) -> float:
+    """The retrieval score of `document` on its own: rank_collection over a
+    one-document Collection."""
+    return rank_collection(Collection({document.doc_id: document}), query, k=1)[0].score
 
 
 @pytest.fixture

@@ -16,11 +16,11 @@ from phocqa.cli import main
 from phocqa.corpus import AnswerPrediction, corrupt_collection, preprocess_query
 from phocqa.evaluation import answer_collection, build_boxes, dis, evaluate, AnswerBoxes
 from phocqa.phoc import phoc_encode
-from phocqa.retriever import doc_score, rank_collection
+from phocqa.retriever import rank_collection
 from phocqa.snippet_qa import answer_attention
 from phocqa.synth import GeneratorSpec, generate
 
-from conftest import draw_blstm, make_collection, make_document, random_word
+from conftest import draw_blstm, make_collection, make_document, random_word, score_document
 from oracles import dis_reference, doc_score_reference, finite_difference_check, phoc_reference
 
 
@@ -47,7 +47,7 @@ def test_doc_score_oracle_equivalence():
         doc = make_document("d", [doc_words])
         query = [phoc_encode(w) for w in query_words]
         expected = doc_score_reference([w.phoc for w in doc.words], query)
-        assert doc_score(doc, query) == pytest.approx(expected, abs=1e-12)
+        assert score_document(doc, query) == pytest.approx(expected, abs=1e-12)
 
     # ranking equals a full sort of brute-force scores, tie rule included
     docs = {f"doc{i:02d}": [[random_word(rng, 1, 5) for _ in range(6)]] for i in range(40)}
@@ -56,7 +56,7 @@ def test_doc_score_oracle_equivalence():
     query = [phoc_encode(random_word(rng, 1, 5)), phoc_encode("mirror")]
     results = rank_collection(c, query, k=len(docs))
     oracle = sorted(
-        ((did, doc_score(c[did], query)) for did in docs), key=lambda t: (-t[1], t[0])
+        ((did, score_document(c[did], query)) for did in docs), key=lambda t: (-t[1], t[0])
     )
     assert [(r.doc_id, r.score) for r in results] == oracle
     tie_ranks = {r.doc_id: r.rank for r in results}
@@ -69,15 +69,15 @@ def test_retrieval_properties():
     for _ in range(500):
         doc_words = [random_word(rng, 1, 6) for _ in range(int(rng.integers(1, 12)))]
         query = [phoc_encode(random_word(rng, 1, 6)) for _ in range(int(rng.integers(1, 4)))]
-        score = doc_score(make_document("d", [doc_words]), query)
+        score = score_document(make_document("d", [doc_words]), query)
         assert 0.0 <= score <= 1.0 + 1e-12
 
         perm = list(doc_words)
         rng.shuffle(perm)
-        assert doc_score(make_document("d", [perm]), query) == score
+        assert score_document(make_document("d", [perm]), query) == score
 
         grown = doc_words + [random_word(rng, 1, 6)]
-        assert doc_score(make_document("d", [grown]), query) >= score - 1e-12
+        assert score_document(make_document("d", [grown]), query) >= score - 1e-12
     ok("permutation invariance, append monotonicity and [0,1] range over 500 cases each")
 
 

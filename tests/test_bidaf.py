@@ -501,6 +501,19 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="'p:b_end' holds .* not floating point"):
             bidaf.load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("key", ["p:w_end", "eg2:b_start", "edx2:ctx_enc.fwd.W"])
+    def test_rejects_non_finite_array(self, tiny_data, tmp_path, key, value):
+        path = self._saved(tiny_data, tmp_path)
+
+        def spoil(arrays):
+            arrays[key] = arrays[key].copy()
+            arrays[key].flat[-1] = value
+
+        self._rewrite(path, spoil)
+        with pytest.raises(ValueError, match=f"checkpoint key '{re.escape(key)}' holds a non-finite value"):
+            bidaf.load_checkpoint(path)
+
     def test_rejects_missing_meta(self, tiny_data, tmp_path):
         path = self._saved(tiny_data, tmp_path)
         self._rewrite(path, lambda a: a.pop("__meta__"))

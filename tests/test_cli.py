@@ -271,6 +271,25 @@ class TestTrainAnswerEval:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {ckpt}: not a readable checkpoint archive"), err
 
+    def test_eval_rejects_non_finite_checkpoint_without_traceback(self, corpus_dir, checkpoint, tmp_path, capsys):
+        with np.load(checkpoint) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["p:w_end"][0] = np.nan
+        ckpt = tmp_path / "nan.ckpt"
+        with open(ckpt, "wb") as f:
+            np.savez(f, **arrays)
+        rc = main(
+            [
+                "eval",
+                "--collection", str(corpus_dir / "collection.json"),
+                "--questions", str(corpus_dir / "questions.json"),
+                "--backend", "bidaf-line",
+                "--checkpoint", str(ckpt),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == ["error: checkpoint key 'p:w_end' holds a non-finite value"]
+
     def test_backend_mode_mismatch(self, corpus_dir, checkpoint, capsys):
         rc = main(
             [

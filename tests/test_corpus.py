@@ -26,7 +26,8 @@ from phocqa.corpus import (
     write_collection,
     write_questions,
 )
-from phocqa.phoc import PHOC_DIM, phoc_encode
+from phocqa.phoc import PHOC_DIM, normalize_token, phoc_encode
+from phocqa.retriever import segment_maxima
 from phocqa.stopwords import NORMALIZED_STOPWORDS, STOPWORDS
 from phocqa.synth import GeneratorSpec, generate
 
@@ -198,6 +199,15 @@ class TestLoadCollection:
         with pytest.raises(json.JSONDecodeError):
             load_collection(p)
 
+    def test_write_collection_bytes(self, tmp_path):
+        # int, float and missing bboxes, some documents with none at all
+        write_collection(load_collection(write_json(tmp_path, MUTABLE)), tmp_path / "out.json")
+        expected = json.loads(json.dumps(MUTABLE))
+        for doc in expected["documents"]:
+            for w in doc["words"]:
+                w["text"] = normalize_token(w["text"])
+        assert (tmp_path / "out.json").read_text(encoding="utf-8") == json.dumps(expected, indent=1)
+
     def test_write_load_roundtrip(self, tmp_path):
         collection, questions = generate(GeneratorSpec(num_documents=4, num_questions=3, vocab_size=60, seed=9))
         cpath = tmp_path / "c.json"
@@ -348,6 +358,7 @@ MALFORMED_QUESTIONS = {
     "end-float": (set_field(["questions", 1, "gold_end_word"], 0.0), r"question 'q2': field 'gold_end_word' must be an integer, not 0.0"),
     "end-bool": (set_field(["questions", 1, "gold_end_word"], False), r"question 'q2': field 'gold_end_word' must be an integer, not False"),
     "span-outside": (set_field(["questions", 0, "gold_end_word"], 3), r"question 'q1': gold span \(0, 3\) outside document 'a'"),
+    "id-repeated": (set_field(["questions", 1, "question_id"], "q1"), r"duplicate question_id 'q1'"),
 }
 
 
@@ -433,6 +444,7 @@ class TestLoadMutatedQuestions:
         else:
             event("loaded")
             assert len(loaded) == len(file["questions"])
+            assert len({q.question_id for q in loaded}) == len(loaded)
             for q, entry in zip(loaded, file["questions"]):
                 doc = collection[q.gold_doc_id]
                 assert (q.question_id, q.text, q.gold_doc_id) == (entry["question_id"], entry["text"], entry["gold_doc_id"])
@@ -594,16 +606,20 @@ def test_loaders_build_the_index(tmp_path, rng):
     assert "index" in vars(corrupt_collection(c, 0.1, rng))
 
 
-def test_index_of_shared_vectors_equals_index_of_copies():
+def test_index_of_shared_table_scores_as_index_of_copies():
     shared, _ = generate(GeneratorSpec(num_documents=6, num_questions=3, vocab_size=60, seed=5))
     copies = Collection({
         d.doc_id: replace(d, table=d.table.copy())
         for d in shared.ordered()
     })
     a, b = shared.index, copies.index
-    assert a.types.shape[1] < len(a.token_type)
-    for field_a, field_b in zip(vars(a).values(), vars(b).values()):
-        np.testing.assert_array_equal(field_a, field_b)
+    table = shared.ordered()[0].table
+    np.testing.assert_array_equal(a.types, table.T)  # the shared table once
+    np.testing.assert_array_equal(b.types, np.concatenate([table] * len(shared)).T)  # each copy
+    words = sorted({t for d in shared.ordered() for t in d.transcriptions})
+    for w in words:
+        query = [phoc_encode(w)]
+        assert segment_maxima(a, query, a.offsets).tobytes() == segment_maxima(b, query, b.offsets).tobytes(), w
 
 
 @pytest.mark.parametrize(

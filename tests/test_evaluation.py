@@ -12,10 +12,8 @@ from phocqa.evaluation import (
     build_boxes,
     dis,
     evaluate,
-    top_k_accuracy,
 )
 from phocqa.phoc import phoc_encode
-from phocqa.retriever import RetrievalResult
 from phocqa.snippet_qa import answer_attention
 from phocqa.synth import GeneratorSpec, generate
 
@@ -113,34 +111,33 @@ class TestDis:
 
 
 class TestTopK:
-    def q(self, qid, gold):
-        return Question(qid, "x", ("x",), gold, (0, 0), (0, 0))
+    """evaluate's top5: the share of questions whose gold document is among
+    the top k retrieved."""
 
-    def results(self, qid, ids):
-        return {qid: [RetrievalResult(d, 1.0 - i / 10, i + 1) for i, d in enumerate(ids)]}
+    COLLECTION = {"g": [["alph"]], "a": [["alpha"]], "b": [["alpha"]], "c": [["zzzz"]]}
+
+    def top5(self, pairs, k, ids=None):
+        """top5 of questions (text, gold doc) over COLLECTION, with ids q0, q1, ... unless given."""
+        ids = ids or [f"q{i}" for i in range(len(pairs))]
+        questions = [Question(qid, text, (text,), gold, (0, 0), (0, 0)) for qid, (text, gold) in zip(ids, pairs)]
+        return evaluate(make_collection(self.COLLECTION), questions, answer_attention, k=k).top5
 
     def test_always_rank_one(self):
-        res = self.results("q1", ["g", "a", "b"])
-        assert top_k_accuracy(res, [self.q("q1", "g")], k=5) == 1.0
+        assert self.top5([("alph", "g")], k=5) == 1.0
 
     def test_never_in_top_k(self):
-        res = self.results("q1", ["a", "b", "c"])
-        assert top_k_accuracy(res, [self.q("q1", "g")], k=3) == 0.0
+        # "alpha" scores a and b 1.0 and g below them
+        assert self.top5([("alpha", "g")], k=2) == 0.0
 
     def test_mixed_counts(self):
-        res = {}
-        questions = []
-        for i, ids in enumerate([["g0"], ["x", "g1"], ["g2", "y"], ["x", "y"]]):
-            qid = f"q{i}"
-            res.update(self.results(qid, ids))
-            questions.append(self.q(qid, f"g{i}"))
-        assert top_k_accuracy(res, questions, k=5) == 0.75
+        pairs = [("alph", "g"), ("alpha", "a"), ("zzzz", "c"), ("zzzz", "g")]
+        assert self.top5(pairs, k=1) == 0.75
+        # one id for every question: each question's own ranking still counts
+        assert self.top5(pairs, k=1, ids=["same"] * 4) == 0.75
 
     def test_monotone_in_k(self):
-        res = self.results("q1", ["a", "b", "g", "c"])
-        questions = [self.q("q1", "g")]
-        accs = [top_k_accuracy(res, questions, k=k) for k in range(1, 5)]
-        assert accs == sorted(accs)
+        accs = [self.top5([("alpha", "g")], k=k) for k in range(1, 5)]
+        assert accs == [0.0, 0.0, 1.0, 1.0]
 
 
 class TestAnswerCollection:

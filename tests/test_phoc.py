@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phocqa.phoc import ALPHABET, LEVELS, PHOC_DIM, normalize_token, phoc_encode
-from phocqa.retriever import doc_score
 
-from conftest import make_document
+from conftest import make_document, score_document
 from oracles import phoc_reference
 
 words = st.text(alphabet=ALPHABET, min_size=1, max_size=12)
@@ -81,7 +80,7 @@ class TestPhocEncode:
 
 def cosine(word: str, query: np.ndarray) -> float:
     """The retriever's cosine between the PHOC of `word` and a query vector."""
-    return doc_score(make_document("d", [[word]]), [query])
+    return score_document(make_document("d", [[word]]), [query])
 
 
 class TestPhocCosine:

@@ -10,11 +10,11 @@ from phocqa.corpus import (
     Collection, Document, build_index, corrupt_collection, document_index, pack_phocs, unpack_phocs,
 )
 from phocqa.phoc import PHOC_DIM, phoc_encode
-from phocqa.retriever import doc_score, rank_collection, segment_maxima
+from phocqa.retriever import rank_collection, segment_maxima
 from phocqa.snippet_qa import answer_attention
 from phocqa.synth import GeneratorSpec, generate
 
-from conftest import make_collection, make_document, random_word, rows_with_bit_set
+from conftest import make_collection, make_document, random_word, rows_with_bit_set, score_document
 from oracles import doc_score_reference
 
 word_lists = st.lists(
@@ -28,16 +28,16 @@ queries = st.lists(
 class TestDocScore:
     def test_exact_match_scores_one(self):
         doc = make_document("d", [["the", "panopticon", "plan"]])
-        assert doc_score(doc, [phoc_encode("panopticon")]) == pytest.approx(1.0)
+        assert score_document(doc, [phoc_encode("panopticon")]) == pytest.approx(1.0)
 
     def test_self_match_scores_exactly_one(self, rng):
         for _ in range(3000):
             w = random_word(rng, 1, 12)
-            assert doc_score(make_document("d", [[w]]), [phoc_encode(w)]) == 1.0, w
+            assert score_document(make_document("d", [[w]]), [phoc_encode(w)]) == 1.0, w
 
     def test_orthogonal_scores_zero(self):
         doc = make_document("d", [["aa", "aaa"]])
-        assert doc_score(doc, [phoc_encode("bb")]) == 0.0
+        assert score_document(doc, [phoc_encode("bb")]) == 0.0
 
     def test_matches_nested_loop_oracle(self, rng):
         for _ in range(20):
@@ -46,36 +46,36 @@ class TestDocScore:
             doc = make_document("d", [doc_words])
             query = [phoc_encode(w) for w in query_words]
             expected = doc_score_reference([w.phoc for w in doc.words], query)
-            assert doc_score(doc, query) == pytest.approx(expected, abs=1e-12)
+            assert score_document(doc, query) == pytest.approx(expected, abs=1e-12)
 
     def test_empty_query_rejected(self):
         doc = make_document("d", [["a"]])
         with pytest.raises(ValueError):
-            doc_score(doc, [])
+            score_document(doc, [])
 
     @given(word_lists, queries)
     @settings(max_examples=150, deadline=None)
     def test_score_range(self, doc_words, query_words):
         doc = make_document("d", [doc_words])
-        score = doc_score(doc, [phoc_encode(w) for w in query_words])
+        score = score_document(doc, [phoc_encode(w) for w in query_words])
         assert 0.0 <= score <= 1.0 + 1e-12
 
     @given(word_lists, queries, st.randoms(use_true_random=False))
     @settings(max_examples=150, deadline=None)
     def test_permutation_invariance(self, doc_words, query_words, rnd):
         query = [phoc_encode(w) for w in query_words]
-        before = doc_score(make_document("d", [doc_words]), query)
+        before = score_document(make_document("d", [doc_words]), query)
         shuffled = list(doc_words)
         rnd.shuffle(shuffled)
-        after = doc_score(make_document("d", [shuffled]), query)
+        after = score_document(make_document("d", [shuffled]), query)
         assert before == after
 
     @given(word_lists, queries, st.text(alphabet="abcdefghij", min_size=1, max_size=6))
     @settings(max_examples=150, deadline=None)
     def test_append_monotonicity(self, doc_words, query_words, extra):
         query = [phoc_encode(w) for w in query_words]
-        before = doc_score(make_document("d", [doc_words]), query)
-        after = doc_score(make_document("d", [doc_words + [extra]]), query)
+        before = score_document(make_document("d", [doc_words]), query)
+        after = score_document(make_document("d", [doc_words + [extra]]), query)
         # mathematically >=; BLAS reassociation leaves ulp-level jitter
         assert after >= before - 1e-12
 
@@ -111,7 +111,6 @@ class TestSegmentMaxima:
         # 504 set bits: a uint8 sum of the popcounts would wrap to 248
         ones = np.ones(PHOC_DIM)
         doc = Document("d", ("x",), np.zeros(1, dtype=np.intp), pack_phocs([ones])[0], np.zeros(1, dtype=np.intp))
-        assert doc_score(doc, [ones]) == 1.0
         assert rank_collection(Collection({"d": doc}), [ones], k=1)[0].score == 1.0
         assert answer_attention(doc, [ones]).confidence == 1.0
 
@@ -137,7 +136,7 @@ class TestRankCollection:
         query = [phoc_encode(random_word(rng, 1, 6)) for _ in range(2)]
         results = rank_collection(c, query, k=50)
         oracle = sorted(
-            ((did, doc_score(c[did], query)) for did in docs),
+            ((did, score_document(c[did], query)) for did in docs),
             key=lambda t: (-t[1], t[0]),
         )
         assert [(r.doc_id, r.score) for r in results] == oracle
@@ -162,7 +161,7 @@ class TestRankCollection:
         rng = np.random.default_rng(int(flip_rate * 100))
         query = [phoc_encode(words[i]) for i in rng.integers(0, len(words), query_len)]
         results = rank_collection(c, query, k=len(c))
-        oracle = sorted(((did, doc_score(c[did], query)) for did in c.documents), key=lambda t: (-t[1], t[0]))
+        oracle = sorted(((did, score_document(c[did], query)) for did in c.documents), key=lambda t: (-t[1], t[0]))
         assert [(r.doc_id, r.score) for r in results] == oracle
 
     # Malformed documents cannot reach the retriever: Document rejects them

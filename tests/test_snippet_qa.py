@@ -3,10 +3,9 @@ from dataclasses import replace
 import pytest
 
 from phocqa.phoc import phoc_encode
-from phocqa.retriever import doc_score
 from phocqa.snippet_qa import answer_attention
 
-from conftest import make_document, random_word, rows_with_bit_set
+from conftest import make_document, random_word, rows_with_bit_set, score_document
 from oracles import make_snippets
 
 
@@ -62,7 +61,7 @@ class TestAnswerAttention:
             scores = []
             for snip in make_snippets(doc.word_lines.tolist()):
                 sub = make_document("sub", [[doc.words[i].transcription for i in snip.word_ids]])
-                scores.append((doc_score(sub, query), snip))
+                scores.append((score_document(sub, query), snip))
             best_score = max(s for s, _ in scores)
             best_snip = next(s for sc, s in scores if sc == best_score)
             assert pred.confidence == pytest.approx(best_score, abs=1e-12)
