@@ -42,7 +42,7 @@ from .neural import (
     softmax,
     zero_grads,
 )
-from .phoc import PHOC_DIM
+from .phoc import PHOC_DIM, phoc_encode
 
 CHECKPOINT_FORMAT = "phocqa-bidaf-v1"
 
@@ -264,11 +264,12 @@ def train(
     seed: int,
 ) -> list[float]:
     """Batch-size-1 training: one ADADELTA step per example, shuffled per
-    epoch; returns the mean loss per epoch.  Deterministic given seed."""
-    from .corpus import preprocess_query
-
+    epoch; returns the mean loss per epoch.  Deterministic given seed.
+    A negative epoch count raises ValueError."""
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
     mode = model.config.mode
-    prepared = [(doc, preprocess_query(q.text)[1], _gold_span(q, doc, mode)) for doc, q in examples]
+    prepared = [(doc, [phoc_encode(t) for t in q.tokens], _gold_span(q, doc, mode)) for doc, q in examples]
 
     params = model.parameters()
     rng = np.random.default_rng(seed)
@@ -292,11 +293,9 @@ def span_accuracy(model: BidafModel, examples: list[tuple[Document, Question]]) 
     granularity."""
     if not examples:
         return 0.0
-    from .corpus import preprocess_query
-
     hits = 0
     for doc, q in examples:
-        pred = predict(doc, preprocess_query(q.text)[1], model)
+        pred = predict(doc, [phoc_encode(t) for t in q.tokens], model)
         if model.config.mode == "line":
             got = (pred.start_line, pred.end_line)
         else:
@@ -421,13 +420,9 @@ def load_checkpoint(path) -> BidafModel:
             raise ValueError(f"checkpoint key {key!r} holds a non-finite value")
     model = BidafModel.__new__(BidafModel)
     model._adopt(config, {name: arrays[f"p:{name}"] for name in shapes})
+    model.optimizer = AdadeltaState(**{name: opt[name] for name in ("lr", "rho", "eps") if name in opt})
     for key, values in arrays.items():
         kind, _, name = key.partition(":")
         if kind != "p":
             getattr(model.optimizer, kind)[name] = values
-    for name in ("lr", "rho", "eps"):
-        value = opt.get(name, getattr(model.optimizer, name))
-        if not (type(value) in (int, float) and math.isfinite(value)):
-            raise ValueError(f"optimizer field {name!r} must be a finite number, not {value!r}")
-        setattr(model.optimizer, name, value)
     return model

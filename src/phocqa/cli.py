@@ -24,7 +24,8 @@ from .corpus import (
     write_collection,
     write_questions,
 )
-from .evaluation import evaluate
+from .evaluation import answer_collection, evaluate
+from .neural import AdadeltaState
 from .retriever import rank_collection
 from .snippet_qa import answer_attention
 from .synth import GeneratorSpec, generate
@@ -98,7 +99,7 @@ def cmd_train(args) -> int:
         hidden=args.hidden, dropout_rate=args.dropout, mode=args.mode
     )
     model = bidaf.BidafModel(config, seed=args.seed)
-    model.optimizer.lr = args.learning_rate
+    model.optimizer = AdadeltaState(lr=args.learning_rate)
     examples = [(collection[q.gold_doc_id], q) for q in questions]
     trace = bidaf.train(model, examples, epochs=args.epochs, seed=args.seed)
     for i, loss in enumerate(trace):
@@ -112,8 +113,6 @@ def cmd_answer(args) -> int:
     collection = _load_corrupted(args.collection, args.flip_rate, args.seed)
     qa = _qa_backend(args.backend, args.checkpoint)
     _, query = preprocess_query(args.question)
-    from .evaluation import answer_collection
-
     pred, _ = answer_collection(collection, query, qa, args.k)
     print(f"{pred.doc_id} lines {pred.start_line}-{pred.end_line} confidence {pred.confidence:.6f}")
     return 0

@@ -148,6 +148,9 @@ class Collection:
     def __post_init__(self) -> None:
         # read-only, so the cached index can never go stale
         object.__setattr__(self, "documents", MappingProxyType(dict(self.documents)))
+        for key, doc in self.documents.items():
+            if key != doc.doc_id:
+                raise ValueError(f"collection key {key!r} holds document {doc.doc_id!r}")
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -247,24 +250,11 @@ def build_index(documents: Sequence[Document]) -> PackedIndex:
     )
 
 
-def document_index(document: Document) -> PackedIndex:
-    """The packed index of one document with a type per token, in order.
-
-    Unlike build_index it holds only the document's own rows, not the whole
-    table it may share with the rest of its collection.
-    """
-    rows = document.rows
-    return PackedIndex(
-        types=np.ascontiguousarray(rows.T),
-        counts=np.bitwise_count(rows).sum(axis=1),
-        token_type=np.arange(len(rows)),
-        offsets=np.zeros(1, dtype=np.intp),
-        doc_ids=(document.doc_id,),
-    )
-
-
 @dataclass(frozen=True)
 class Question:
+    """A question and its gold answer.  `tokens` are query_tokens(text), and
+    a question's query is the phoc_encode of each."""
+
     question_id: str
     text: str
     tokens: tuple[str, ...]

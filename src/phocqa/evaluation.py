@@ -5,7 +5,7 @@ Double Inclusion Score.
 DIS = (|AB n SB| / |SB|) * (|AB n LB| / |AB|), where SB holds the gold
 answer words, LB additionally the full gold lines plus one line above and
 below, and AB the words of the predicted lines.  A prediction counts as
-correct when DIS is strictly above the threshold (0.8).
+correct when DIS is strictly above DIS_THRESHOLD (0.8).
 """
 
 from __future__ import annotations
@@ -17,7 +17,10 @@ from typing import Callable
 import numpy as np
 
 from .corpus import AnswerPrediction, Collection, Document, Question
+from .phoc import phoc_encode
 from .retriever import RetrievalResult, rank_collection
+
+DIS_THRESHOLD = 0.8  # a prediction is correct when its DIS is strictly above this
 
 QaModel = Callable[[Document, list[np.ndarray]], AnswerPrediction]
 
@@ -119,18 +122,15 @@ def evaluate(
     questions: list[Question],
     qa_model: QaModel,
     k: int = 5,
-    threshold: float = 0.8,
     meta: dict | None = None,
 ) -> EvalReport:
     """Run the full pipeline per question and aggregate.  A prediction in the
     wrong document scores DIS 0 (it cannot intersect the gold SB)."""
-    from .corpus import preprocess_query
-
     per_question = []
     for q in questions:
         if q.gold_doc_id not in collection.documents:
             raise ValueError(f"question {q.question_id!r}: gold_doc_id {q.gold_doc_id!r} not in collection")
-        query = preprocess_query(q.text)[1]
+        query = [phoc_encode(t) for t in q.tokens]
         pred, retrieved = answer_collection(collection, query, qa_model, k)
         if pred.doc_id == q.gold_doc_id:
             boxes = build_boxes(
@@ -155,7 +155,7 @@ def evaluate(
     return EvalReport(
         meta=meta or {},
         per_question=tuple(per_question),
-        accuracy=sum(1 for r in per_question if r.dis > threshold) / n if n else 0.0,
+        accuracy=sum(1 for r in per_question if r.dis > DIS_THRESHOLD) / n if n else 0.0,
         mean_dis=sum(r.dis for r in per_question) / n if n else 0.0,
         top5=sum(1 for r in per_question if r.retrieval_rank_of_gold is not None) / n if n else 0.0,
     )

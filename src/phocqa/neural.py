@@ -96,28 +96,17 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.values @ b.values, (a, b))
+    """Matrix times matrix, or matrix times vector; other shapes raise ValueError."""
     av, bv = a.values, b.values
+    if av.ndim != 2 or bv.ndim not in (1, 2):
+        raise ValueError(f"matmul takes a matrix times a matrix or a vector, not {av.shape} @ {bv.shape}")
+    out = Tensor(av @ bv, (a, b))
 
     def bw(g):
         if a.requires_grad:
-            if av.ndim == 2 and bv.ndim == 2:
-                a._accum(g @ bv.T)
-            elif av.ndim == 2 and bv.ndim == 1:
-                a._accum(np.outer(g, bv))
-            elif av.ndim == 1 and bv.ndim == 2:
-                a._accum(bv @ g)
-            else:  # 1D . 1D
-                a._accum(g * bv)
+            a._accum(g @ bv.T if bv.ndim == 2 else np.outer(g, bv))
         if b.requires_grad:
-            if av.ndim == 2 and bv.ndim == 2:
-                b._accum(av.T @ g)
-            elif av.ndim == 2 and bv.ndim == 1:
-                b._accum(av.T @ g)
-            elif av.ndim == 1 and bv.ndim == 2:
-                b._accum(np.outer(av, g))
-            else:
-                b._accum(g * av)
+            b._accum(av.T @ g)
 
     out._backward = bw
     return out
@@ -352,13 +341,20 @@ ADADELTA_BLOCK = 16384  # coordinates per sweep block: 128 KiB of float64 per ar
 
 @dataclass
 class AdadeltaState:
-    """Per-parameter running averages of squared gradients and updates."""
+    """Per-parameter running averages of squared gradients and updates.
+    A setting that is not a finite number raises ValueError naming it."""
 
     lr: float = 0.5
     rho: float = 0.95
     eps: float = 1e-6
     eg2: dict[str, np.ndarray] = field(default_factory=dict)
     edx2: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for name in ("lr", "rho", "eps"):
+            value = getattr(self, name)
+            if not (type(value) in (int, float) and math.isfinite(value)):  # exact: a bool is not a number here
+                raise ValueError(f"optimizer field {name!r} must be a finite number, not {value!r}")
 
 
 def adadelta_step(params: dict[str, Tensor], state: AdadeltaState) -> None:

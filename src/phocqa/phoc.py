@@ -4,7 +4,7 @@ Words are embedded as 504-dimensional attribute vectors over the alphabet
 a-z0-9 at pyramid levels 2, 3, 4 and 5.  Text strings and (simulated)
 word-image predictions share this space, so similarity between a query
 token and a document word is just cosine similarity between their vectors
-(computed on packed bits by retriever.segment_maxima).
+(computed on packed bits by retriever.similarities).
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
 """Attention-based document retrieval.
 
 A document's relevance to a query is the mean over query PHOCs of the
-maximum cosine similarity against any word PHOC in the document.  The whole
-collection is scored in one vectorized pass over its packed index
-(corpus.PackedIndex): each query row meets each row of the index once,
-through AND and popcount, and the per-token similarities are reduced to
-per-document maxima.  Ties are broken by doc_id so the ordering is
-deterministic.
+maximum cosine similarity against any word PHOC in the document.  Two
+functions compute it, and snippet_qa scores snippets with the same two:
+similarities is one (J, V) pass of each query row against packed columns,
+through AND and popcount, and segment_maxima reduces the per-column
+similarities to the maxima of each segment of columns.  rank_collection
+runs the pass over the collection's packed index (corpus.PackedIndex),
+gathers it per token and reduces it per document.  Ties are broken by
+doc_id so the ordering is deterministic.
 
 The index stores its types column-major, as (PACKED_WORDS, V) uint64, so
 a query row's dots are PACKED_WORDS passes of AND, popcount and add over
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Collection, PackedIndex, pack_phocs
+from .corpus import Collection, pack_phocs
 
 
 @dataclass(frozen=True)
@@ -30,13 +32,10 @@ class RetrievalResult:
     rank: int  # 1-based
 
 
-def segment_maxima(index: PackedIndex, query: list[np.ndarray], starts: np.ndarray) -> np.ndarray:
-    """Max cosine similarity of each query vector over each token segment.
-
-    Segment s holds the index's tokens from starts[s] up to the next start.
-    Returns an (S, J) C-contiguous array, so a mean over axis 1 sums each
-    row in the same order as np.mean of a 1-D array.
-    """
+def similarities(types: np.ndarray, counts: np.ndarray, query: list[np.ndarray]) -> np.ndarray:
+    """The (J, V) cosine similarity of each query vector with each packed
+    column of `types`, a (PACKED_WORDS, V) uint64 array whose column v has
+    counts[v] set bits."""
     if not query:
         raise ValueError("empty query")
     qrows, qcounts = pack_phocs(query)
@@ -46,18 +45,24 @@ def segment_maxima(index: PackedIndex, query: list[np.ndarray], starts: np.ndarr
     # scores an exact match exactly 1.0 (sqrt(n) * sqrt(n) differs from n for
     # 251 of the 504 possible n).  A zero count has a zero dot, so its cosine
     # stays 0.
-    masked = np.empty_like(index.types)  # reused by every query row
-    dots = np.empty((len(qrows), index.types.shape[1]), dtype=np.uint16)  # (J, V)
+    masked = np.empty_like(types)  # reused by every query row
+    dots = np.empty((len(qrows), types.shape[1]), dtype=np.uint16)  # (J, V)
     for q, row in zip(qrows, dots):
-        np.bitwise_and(index.types, q[:, None], out=masked)
+        np.bitwise_and(types, q[:, None], out=masked)
         np.bitwise_count(masked).sum(axis=0, dtype=np.uint16, out=row)
     # (J, V), not (V, J): every pass below then runs over V-length rows
-    sims = np.multiply.outer(qcounts, index.counts, dtype=np.float64)
+    sims = np.multiply.outer(qcounts, counts, dtype=np.float64)
     np.maximum(sims, 1.0, out=sims)
     np.sqrt(sims, out=sims)
-    np.divide(dots, sims, out=sims)
-    maxima = np.maximum.reduceat(np.take(sims, index.token_type, axis=1), starts, axis=1)  # (J, S)
-    return np.ascontiguousarray(maxima.T)
+    return np.divide(dots, sims, out=sims)
+
+
+def segment_maxima(sims: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The maximum of each row of the (J, N) `sims` over each column
+    segment; segment s runs from starts[s] up to the next start.  Returns an
+    (S, J) C-contiguous array, so a mean over axis 1 sums each row in the
+    same order as np.mean of a 1-D array."""
+    return np.ascontiguousarray(np.maximum.reduceat(sims, starts, axis=1).T)
 
 
 def rank_collection(collection: Collection, query: list[np.ndarray], k: int) -> list[RetrievalResult]:
@@ -67,7 +72,8 @@ def rank_collection(collection: Collection, query: list[np.ndarray], k: int) -> 
     if len(collection) == 0:
         raise ValueError("empty collection")
     index = collection.index
-    scores = segment_maxima(index, query, index.offsets).mean(axis=1)
+    sims = np.take(similarities(index.types, index.counts, query), index.token_type, axis=1)
+    scores = segment_maxima(sims, index.offsets).mean(axis=1)
     # a stable sort keeps the doc_id order of the index among equal scores
     top = np.argsort(-scores, kind="stable")[:k]
     return [

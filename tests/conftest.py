@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from phocqa.corpus import Collection, Document, phoc_table
+from phocqa.corpus import Collection, Document, PackedIndex, phoc_table
 from phocqa.neural import Tensor
-from phocqa.retriever import rank_collection
+from phocqa.retriever import rank_collection, segment_maxima, similarities
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
 
@@ -63,6 +63,14 @@ def score_document(document: Document, query: list[np.ndarray]) -> float:
     """The retrieval score of `document` on its own: rank_collection over a
     one-document Collection."""
     return rank_collection(Collection({document.doc_id: document}), query, k=1)[0].score
+
+
+def index_maxima(index: PackedIndex, query: list[np.ndarray], starts: np.ndarray) -> np.ndarray:
+    """The (S, J) segment maxima of `query` over `index`'s tokens, as
+    rank_collection computes them: the similarity of every type, gathered
+    per token."""
+    sims = np.take(similarities(index.types, index.counts, query), index.token_type, axis=1)
+    return segment_maxima(sims, starts)
 
 
 @pytest.fixture

@@ -316,6 +316,12 @@ class TestTrain:
             runs.append(([x.hex() for x in losses], arrays))
         assert runs[0] == runs[1]
 
+    def test_negative_epochs_rejected(self, tiny_data):
+        collection, questions = tiny_data
+        model = BidafModel(BidafConfig(**SMALL), seed=0)
+        with pytest.raises(ValueError, match="epochs must be >= 0, got -1"):
+            bidaf.train(model, [(collection[q.gold_doc_id], q) for q in questions], epochs=-1, seed=0)
+
     def test_gold_span_out_of_range(self, tiny_data):
         collection, questions = tiny_data
         q = questions[0]

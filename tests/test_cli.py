@@ -333,6 +333,33 @@ class TestTrainAnswerEval:
         assert not (tmp_path / "h0.ckpt").exists()
 
     @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--learning-rate", "nan", "optimizer field 'lr' must be a finite number, not nan"),
+            ("--learning-rate", "inf", "optimizer field 'lr' must be a finite number, not inf"),
+            ("--epochs", "-1", "epochs must be >= 0, got -1"),
+        ],
+        ids=["lr-nan", "lr-inf", "epochs-negative"],
+    )
+    def test_train_rejects_bad_setting_without_traceback(self, corpus_dir, tmp_path, capsys, flag, value, message):
+        ckpt = tmp_path / "bad.ckpt"
+        rc = main(
+            [
+                "train",
+                "--collection", str(corpus_dir / "collection.json"),
+                "--questions", str(corpus_dir / "questions.json"),
+                "--checkpoint", str(ckpt),
+                "--hidden", "6",
+                flag, value,
+            ]
+        )
+        assert rc == 1
+        out = capsys.readouterr()
+        assert out.err.splitlines() == [f"error: {message}"]
+        assert out.out == ""  # no loss line
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize(
         "field, value, message",
         [
             ("hidden", "8", "hidden must be an integer >= 1, got '8'"),

@@ -27,11 +27,10 @@ from phocqa.corpus import (
     write_questions,
 )
 from phocqa.phoc import PHOC_DIM, normalize_token, phoc_encode
-from phocqa.retriever import segment_maxima
 from phocqa.stopwords import NORMALIZED_STOPWORDS, STOPWORDS
 from phocqa.synth import GeneratorSpec, generate
 
-from conftest import make_collection, random_word, rows_with_bit_set
+from conftest import index_maxima, make_collection, random_word, rows_with_bit_set
 from oracles import corrupt_phoc
 
 VALID = {
@@ -542,6 +541,12 @@ class TestCorruptCollection:
             replace(doc, table=rows)
 
 
+def test_collection_key_must_be_doc_id():
+    doc = make_collection({"doc_0003": [["one"]]})["doc_0003"]
+    with pytest.raises(ValueError, match="collection key 'zdoc_0003' holds document 'doc_0003'"):
+        Collection({"zdoc_0003": doc})
+
+
 def test_collection_documents_read_only():
     docs = {"d": make_collection({"d": [["one"]]})["d"]}
     c = Collection(docs)
@@ -619,7 +624,7 @@ def test_index_of_shared_table_scores_as_index_of_copies():
     words = sorted({t for d in shared.ordered() for t in d.transcriptions})
     for w in words:
         query = [phoc_encode(w)]
-        assert segment_maxima(a, query, a.offsets).tobytes() == segment_maxima(b, query, b.offsets).tobytes(), w
+        assert index_maxima(a, query, a.offsets).tobytes() == index_maxima(b, query, b.offsets).tobytes(), w
 
 
 @pytest.mark.parametrize(

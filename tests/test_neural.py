@@ -10,8 +10,8 @@ from oracles import adadelta_reference, finite_difference_check
 
 
 def sum_of_squares(x: nn.Tensor) -> nn.Tensor:
-    flat = nn.reshape(x, (-1,))
-    return nn.matmul(flat, flat)
+    """x . x as a scalar: x as a (1, n) matrix times x as an (n,) vector."""
+    return nn.reshape(nn.matmul(nn.reshape(x, (1, -1)), nn.reshape(x, (-1,))), ())
 
 
 def tape_nodes(out: nn.Tensor) -> int:
@@ -50,8 +50,15 @@ class TestDense:
         W = nn.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         b = nn.Tensor(rng.standard_normal(3), requires_grad=True)
         out = dense(nn.Tensor(rng.standard_normal(4)), W, b)
-        nn.backward(nn.matmul(out, nn.Tensor([1.0, 2.0, 3.0])))
+        nn.backward(nn.reshape(nn.matmul(nn.Tensor([[1.0, 2.0, 3.0]]), out), ()))
         np.testing.assert_allclose(b.grad, [1.0, 2.0, 3.0])
+
+
+class TestMatmul:
+    @pytest.mark.parametrize("a, b", [((3,), (3, 2)), ((3,), (3,)), ((2, 3, 4), (4,)), ((2, 3), ())])
+    def test_rejects_shapes_other_than_matrix_times_matrix_or_vector(self, a, b):
+        with pytest.raises(ValueError, match="matmul takes a matrix times a matrix or a vector"):
+            nn.matmul(nn.Tensor(np.ones(a)), nn.Tensor(np.ones(b)))
 
 
 def scalar_lstm(W: np.ndarray, b: np.ndarray, xs: np.ndarray, reverse: bool) -> np.ndarray:
@@ -283,6 +290,12 @@ class TestAdadelta:
             assert state.eg2["p"][0] > prev
             prev = state.eg2["p"][0]
         assert state.eg2["p"][0] == pytest.approx(4.0, rel=0.1)
+
+    @pytest.mark.parametrize("name", ["lr", "rho", "eps"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), True, "0.5", None])
+    def test_rejects_setting_that_is_not_a_finite_number(self, name, value):
+        with pytest.raises(ValueError, match=f"optimizer field '{name}' must be a finite number"):
+            nn.AdadeltaState(**{name: value})
 
     def test_descends_quadratic(self):
         p = nn.Tensor([5.0], requires_grad=True)

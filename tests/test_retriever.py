@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phocqa.corpus import (
-    Collection, Document, build_index, corrupt_collection, document_index, pack_phocs, unpack_phocs,
-)
+from phocqa.corpus import Collection, Document, build_index, corrupt_collection, pack_phocs, unpack_phocs
 from phocqa.phoc import PHOC_DIM, phoc_encode
-from phocqa.retriever import rank_collection, segment_maxima
+from phocqa.retriever import rank_collection, segment_maxima, similarities
 from phocqa.snippet_qa import answer_attention
 from phocqa.synth import GeneratorSpec, generate
 
-from conftest import make_collection, make_document, random_word, rows_with_bit_set, score_document
+from conftest import index_maxima, make_collection, make_document, random_word, rows_with_bit_set, score_document
 from oracles import doc_score_reference
 
 word_lists = st.lists(
@@ -99,12 +97,15 @@ class TestSegmentMaxima:
         words = sorted({w.transcription for doc in base.ordered() for w in doc.words})
         rng = np.random.default_rng(int(flip_rate * 10))
         query = [phoc_encode(words[i]) for i in rng.integers(0, len(words), query_len)]
-        got = segment_maxima(c.index, query, c.index.offsets)
+        got = index_maxima(c.index, query, c.index.offsets)
         assert got.flags.c_contiguous
         assert got.tobytes() == self.row_major_maxima(c.index, query, c.index.offsets).tobytes()
         doc = c.ordered()[0]
         starts = doc.line_starts
-        got = segment_maxima(document_index(doc), query, starts)
+        # as answer_attention scores a document: its own rows, reduced per line
+        rows = doc.rows
+        got = segment_maxima(similarities(rows.T, np.bitwise_count(rows).sum(axis=1), query), starts)
+        assert got.flags.c_contiguous
         assert got.tobytes() == self.row_major_maxima(build_index([doc]), query, starts).tobytes()
 
     def test_all_ones_word_scores_exactly_one(self):
