@@ -34,10 +34,9 @@ BACKENDS = ("attention", "bidaf-line", "bidaf-word")
 
 
 def _load_corrupted(path: str, flip_rate: float, seed: int) -> Collection:
-    collection = load_collection(path)
-    if flip_rate > 0.0:
-        collection = corrupt_collection(collection, flip_rate, np.random.default_rng(seed))
-    return collection
+    # corrupt_collection rejects a flip rate outside [0, 1], NaN included,
+    # and returns the collection itself at 0
+    return corrupt_collection(load_collection(path), flip_rate, np.random.default_rng(seed))
 
 
 def _qa_backend(backend: str, checkpoint: str | None):

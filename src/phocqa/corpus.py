@@ -12,8 +12,8 @@ query vectors stay exact.
 
 For scoring, a collection is held as a packed index: the rows of each
 distinct table, stacked once in first-seen order, plus a token-to-row map
-and per-document offsets.  The packing format is defined here and nowhere
-else.
+(None when token i is row i) and per-document offsets.  The packing format
+is defined here and nowhere else.
 """
 
 from __future__ import annotations
@@ -186,11 +186,16 @@ class PackedIndex:
     `types` is column-major: a C-contiguous (PACKED_WORDS, V) array whose
     column v is type v, so scoring one query vector against every type is
     PACKED_WORDS passes over contiguous V-length rows.
+
+    `token_type` is None when token i is type i for every token, that is
+    when the stacked rows are the tokens in order, each used once: the
+    case of a corrupted collection or any input with one PHOC per word
+    image.  Per-type scores are then already per-token scores.
     """
 
     types: np.ndarray  # (PACKED_WORDS, V) uint64, packed rows as columns
-    counts: np.ndarray  # (V,) set bits of each type
-    token_type: np.ndarray  # (N,) type of each token, documents concatenated
+    counts: np.ndarray  # (V,) intp, set bits of each type
+    token_type: np.ndarray | None  # (N,) type of each token, documents concatenated; None: the identity
     offsets: np.ndarray  # (D,) first token of each document
     doc_ids: tuple[str, ...]  # (D,) id of each document
 
@@ -234,17 +239,21 @@ def build_index(documents: Sequence[Document]) -> PackedIndex:
     Each distinct table is stacked once, in first-seen order, however many
     documents share it, and a token's type is its table row offset by where
     that table starts in the stack.  Rows are not compared: equal rows in
-    separate tables stay separate types.
+    separate tables stay separate types.  When the token-to-type map is
+    exactly 0, 1, ..., N - 1, the index holds None in its place.
     """
     offsets = np.cumsum([0] + [len(doc) for doc in documents], dtype=np.intp)[:-1]
     tables = {id(doc.table): doc.table for doc in documents}  # in first-seen order
     first = dict(zip(tables, np.cumsum([0] + [len(t) for t in tables.values()]).tolist()))
-    token_type = [np.empty(0, dtype=np.intp)] + [doc.token_row + first[id(doc.table)] for doc in documents]
+    token_type = np.concatenate(
+        [np.empty(0, dtype=np.intp)] + [doc.token_row + first[id(doc.table)] for doc in documents]
+    )
     types = np.concatenate([np.empty((PACKED_WORDS, 0), dtype=np.uint64)] + [t.T for t in tables.values()], axis=1)
+    identity = np.array_equal(token_type, np.arange(types.shape[1]))
     return PackedIndex(
         types=types,
-        counts=np.bitwise_count(types).sum(axis=0),
-        token_type=np.concatenate(token_type),
+        counts=np.bitwise_count(types).sum(axis=0, dtype=np.intp),
+        token_type=None if identity else token_type,
         offsets=offsets,
         doc_ids=tuple(doc.doc_id for doc in documents),
     )

@@ -342,7 +342,8 @@ ADADELTA_BLOCK = 16384  # coordinates per sweep block: 128 KiB of float64 per ar
 @dataclass
 class AdadeltaState:
     """Per-parameter running averages of squared gradients and updates.
-    A setting that is not a finite number raises ValueError naming it."""
+    A setting that is not a finite number in its range (lr > 0,
+    0 < rho < 1, eps > 0) raises ValueError naming it."""
 
     lr: float = 0.5
     rho: float = 0.95
@@ -355,6 +356,12 @@ class AdadeltaState:
             value = getattr(self, name)
             if not (type(value) in (int, float) and math.isfinite(value)):  # exact: a bool is not a number here
                 raise ValueError(f"optimizer field {name!r} must be a finite number, not {value!r}")
+        if not self.lr > 0:
+            raise ValueError(f"optimizer field 'lr' must be > 0, not {self.lr!r}")
+        if not 0 < self.rho < 1:
+            raise ValueError(f"optimizer field 'rho' must be in (0, 1), not {self.rho!r}")
+        if not self.eps > 0:
+            raise ValueError(f"optimizer field 'eps' must be > 0, not {self.eps!r}")
 
 
 def adadelta_step(params: dict[str, Tensor], state: AdadeltaState) -> None:

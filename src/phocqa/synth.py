@@ -36,6 +36,8 @@ class GeneratorSpec:
                 raise ValueError("ranges must be positive and ordered")
         if self.num_documents < 1 or self.vocab_size < 1:
             raise ValueError("num_documents and vocab_size must be positive")
+        if self.num_questions < 0:
+            raise ValueError(f"num_questions must be >= 0, got {self.num_questions}")
 
 
 def _make_vocabulary(size: int, rng: np.random.Generator) -> list[str]:

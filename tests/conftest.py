@@ -68,8 +68,10 @@ def score_document(document: Document, query: list[np.ndarray]) -> float:
 def index_maxima(index: PackedIndex, query: list[np.ndarray], starts: np.ndarray) -> np.ndarray:
     """The (S, J) segment maxima of `query` over `index`'s tokens, as
     rank_collection computes them: the similarity of every type, gathered
-    per token."""
-    sims = np.take(similarities(index.types, index.counts, query), index.token_type, axis=1)
+    per token unless the index's token_type is None (the identity)."""
+    sims = similarities(index.types, index.counts, query)
+    if index.token_type is not None:
+        sims = np.take(sims, index.token_type, axis=1)
     return segment_maxima(sims, starts)
 
 

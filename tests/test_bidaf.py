@@ -539,11 +539,14 @@ class TestCheckpoint:
             (lambda meta: meta["optimizer"].update(lr="0.5"), "optimizer field 'lr' must be a finite number"),
             (lambda meta: meta["optimizer"].update(rho=float("inf")), "optimizer field 'rho' must be a finite number"),
             (lambda meta: meta["optimizer"].update(eps=None), "optimizer field 'eps' must be a finite number"),
+            (lambda meta: meta["optimizer"].update(lr=-0.5), r"optimizer field 'lr' must be > 0, not -0.5"),
+            (lambda meta: meta["optimizer"].update(rho=1), r"optimizer field 'rho' must be in \(0, 1\), not 1"),
+            (lambda meta: meta["optimizer"].update(eps=0), "optimizer field 'eps' must be > 0, not 0"),
             (lambda meta: meta.update(optimizer=[0.5]), "field 'optimizer' must be an object"),
         ],
         ids=[
             "unknown-field", "no-config", "phoc-dim", "hidden-string", "max-span-zero", "hidden-huge", "mode",
-            "lr-string", "rho-inf", "eps-null", "optimizer-list",
+            "lr-string", "rho-inf", "eps-null", "lr-negative", "rho-one", "eps-zero", "optimizer-list",
         ],
     )
     def test_rejects_bad_config(self, tiny_data, tmp_path, edit, name):

@@ -93,6 +93,13 @@ class TestGenerate:
     def test_output_validates(self, corpus_dir):
         assert main(["validate", "--collection", str(corpus_dir / "collection.json")]) == 0
 
+    def test_rejects_negative_num_questions_without_traceback(self, tmp_path, capsys):
+        assert main(["generate", "--output", str(tmp_path / "out"), "--num-questions", "-1"]) == 1
+        out = capsys.readouterr()
+        assert out.err.splitlines() == ["error: num_questions must be >= 0, got -1"]
+        assert out.out == ""
+        assert not (tmp_path / "out").exists()
+
 
 class TestRetrieve:
     def test_matches_library(self, corpus_dir, capsys):
@@ -337,9 +344,11 @@ class TestTrainAnswerEval:
         [
             ("--learning-rate", "nan", "optimizer field 'lr' must be a finite number, not nan"),
             ("--learning-rate", "inf", "optimizer field 'lr' must be a finite number, not inf"),
+            ("--learning-rate", "-0.5", "optimizer field 'lr' must be > 0, not -0.5"),
+            ("--learning-rate", "0", "optimizer field 'lr' must be > 0, not 0.0"),
             ("--epochs", "-1", "epochs must be >= 0, got -1"),
         ],
-        ids=["lr-nan", "lr-inf", "epochs-negative"],
+        ids=["lr-nan", "lr-inf", "lr-negative", "lr-zero", "epochs-negative"],
     )
     def test_train_rejects_bad_setting_without_traceback(self, corpus_dir, tmp_path, capsys, flag, value, message):
         ckpt = tmp_path / "bad.ckpt"
@@ -406,3 +415,20 @@ class TestTrainAnswerEval:
         before = (corpus_dir / "collection.json").read_bytes()
         main(["retrieve", "anything", "--collection", str(corpus_dir / "collection.json"), "--flip-rate", "0.2"])
         assert (corpus_dir / "collection.json").read_bytes() == before
+
+    @pytest.mark.parametrize("command", ["retrieve", "answer", "eval", "train"])
+    @pytest.mark.parametrize("flip_rate", ["-0.1", "nan", "1.5"])
+    def test_rejects_bad_flip_rate_without_traceback(self, corpus_dir, tmp_path, capsys, command, flip_rate):
+        argv = [command, "--collection", str(corpus_dir / "collection.json"), "--flip-rate", flip_rate]
+        report, ckpt = tmp_path / "report.json", tmp_path / "model.ckpt"
+        argv += {
+            "retrieve": ["dear sir"],
+            "answer": ["dear sir"],
+            "eval": ["--questions", str(corpus_dir / "questions.json"), "--report", str(report)],
+            "train": ["--questions", str(corpus_dir / "questions.json"), "--checkpoint", str(ckpt), "--hidden", "4"],
+        }[command]
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.err.splitlines() == [f"error: flip_rate {float(flip_rate)} outside [0, 1]"]
+        assert out.out == ""
+        assert not report.exists() and not ckpt.exists()

@@ -320,7 +320,9 @@ class TestLoadMutatedCollection:
             docs = loaded.ordered()
             for doc in docs:
                 assert_document_invariants(doc)
-            assert len(loaded.index.token_type) == sum(len(d) for d in docs)
+            index = loaded.index  # token_type None maps token i to type i
+            mapped = index.types.shape[1] if index.token_type is None else len(index.token_type)
+            assert mapped == sum(len(d) for d in docs)
             for entry in collection["documents"]:  # what loaded must agree with the file
                 words = loaded[entry["doc_id"]].words
                 assert [(w["word_index"], w["line_index"]) for w in entry["words"]] == [
@@ -609,6 +611,22 @@ def test_loaders_build_the_index(tmp_path, rng):
     c = load_collection(write_json(tmp_path, VALID))
     assert "index" in vars(c)
     assert "index" in vars(corrupt_collection(c, 0.1, rng))
+
+
+def test_index_token_type_is_none_only_when_each_token_is_its_own_type(tmp_path, rng):
+    # distinct words, written in doc_id order: the stacked rows are the tokens in order
+    assert load_collection(write_json(tmp_path, VALID)).index.token_type is None
+    # the same words with the documents written in the other order: rows are numbered
+    # in file order, tokens in doc_id order
+    swapped = {"documents": VALID["documents"][::-1]}
+    np.testing.assert_array_equal(load_collection(write_json(tmp_path, swapped)).index.token_type, [1, 2, 3, 0])
+    repeated, _ = generate(GeneratorSpec(num_documents=6, num_questions=3, vocab_size=60, seed=5))
+    np.testing.assert_array_equal(
+        repeated.index.token_type, np.concatenate([d.token_row for d in repeated.ordered()])
+    )
+    noisy = corrupt_collection(repeated, 0.1, rng)
+    assert noisy.index.token_type is None
+    assert noisy.index.types.shape[1] == sum(len(d) for d in noisy.ordered())
 
 
 def test_index_of_shared_table_scores_as_index_of_copies():

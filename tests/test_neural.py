@@ -282,7 +282,7 @@ class TestAdadelta:
 
     def test_repeated_gradient_accumulation(self):
         p = nn.Tensor([0.0], requires_grad=True)
-        state = nn.AdadeltaState(lr=0.0)  # isolate the running averages
+        state = nn.AdadeltaState()  # the averages see only the gradients, whatever the step
         prev = 0.0
         for _ in range(50):
             p.grad = np.array([2.0])
@@ -295,6 +295,22 @@ class TestAdadelta:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), True])
     def test_rejects_setting_that_is_not_a_finite_number(self, name, value):
         with pytest.raises(ValueError, match=f"optimizer field '{name}' must be a finite number"):
+            nn.AdadeltaState(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("lr", 0.0, "must be > 0, not 0.0"),
+            ("lr", -0.5, "must be > 0, not -0.5"),
+            ("rho", 0, r"must be in \(0, 1\), not 0"),
+            ("rho", 1.0, r"must be in \(0, 1\), not 1.0"),
+            ("rho", 1.5, r"must be in \(0, 1\), not 1.5"),
+            ("eps", 0, "must be > 0, not 0"),
+            ("eps", -1e-6, "must be > 0, not -1e-06"),
+        ],
+    )
+    def test_rejects_setting_out_of_range(self, name, value, message):
+        with pytest.raises(ValueError, match=f"optimizer field '{name}' {message}"):
             nn.AdadeltaState(**{name: value})
 
     def test_descends_quadratic(self):

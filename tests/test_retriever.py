@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from phocqa.corpus import Collection, Document, build_index, corrupt_collection, pack_phocs, unpack_phocs
 from phocqa.phoc import PHOC_DIM, phoc_encode
-from phocqa.retriever import rank_collection, segment_maxima, similarities
+from phocqa.retriever import rank_collection, segment_maxima, similarities, top_k
 from phocqa.snippet_qa import answer_attention
 from phocqa.synth import GeneratorSpec, generate
 
@@ -87,7 +87,8 @@ class TestSegmentMaxima:
         qrows, qcounts = pack_phocs(query)
         dots = np.stack([np.bitwise_count(rows & q).sum(axis=1) for q in qrows], axis=1)
         sims = dots / np.sqrt(np.maximum(np.outer(index.counts, qcounts), 1))
-        return np.maximum.reduceat(sims[index.token_type], starts, axis=0)
+        per_token = sims if index.token_type is None else sims[index.token_type]
+        return np.maximum.reduceat(per_token, starts, axis=0)
 
     @pytest.mark.parametrize("flip_rate", [0.0, 0.2, 0.5])
     @pytest.mark.parametrize("query_len", [1, 3, 9])
@@ -107,6 +108,24 @@ class TestSegmentMaxima:
         got = segment_maxima(similarities(rows.T, np.bitwise_count(rows).sum(axis=1), query), starts)
         assert got.flags.c_contiguous
         assert got.tobytes() == self.row_major_maxima(build_index([doc]), query, starts).tobytes()
+
+    @pytest.mark.parametrize("flip_rate", [0.0, 0.2])
+    def test_similarities_byte_identical_to_full_denominator(self, flip_rate):
+        base, _ = generate(GeneratorSpec(num_documents=20, num_questions=3, vocab_size=120, seed=3))
+        index = corrupt_collection(base, flip_rate, np.random.default_rng(3)).index
+        # an empty column (count 0) and a full one (504) besides the collection's types
+        extra = pack_phocs([np.zeros(PHOC_DIM), np.ones(PHOC_DIM)])[0]
+        types = np.ascontiguousarray(np.concatenate([index.types, extra.T], axis=1))
+        counts = np.bitwise_count(types).sum(axis=0)
+        query = [phoc_encode("panopticon"), np.zeros(PHOC_DIM), np.ones(PHOC_DIM), phoc_encode("x")]
+        qrows, qcounts = pack_phocs(query)
+        dots = np.stack([np.bitwise_count(types & q[:, None]).sum(axis=0) for q in qrows])
+        expected = dots / np.sqrt(np.maximum(np.multiply.outer(qcounts, counts), 1))
+        for given_counts in (counts, counts.astype(np.intp)):
+            got = similarities(types, given_counts, query)
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert got.tobytes() == expected.tobytes()
+        assert not got[1].any() and not got[:, -2].any()  # the zero row and the empty column
 
     def test_all_ones_word_scores_exactly_one(self):
         # 504 set bits: a uint8 sum of the popcounts would wrap to 248
@@ -199,6 +218,33 @@ class TestRankCollection:
     def test_empty_query(self):
         with pytest.raises(ValueError, match="empty query"):
             rank_collection(make_collection({"a": [["x"]]}), [], k=1)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 12, 13, 30, 199, 200, 250])
+    def test_top_k_is_head_of_stable_sort(self, rng, k):
+        # few distinct values, so ties straddle every k; 200 is past the
+        # length below which numpy's default sort happens to be stable
+        for n in (13, 200):
+            for scores in (rng.integers(0, 4, n) / 3.0, np.zeros(n), rng.random(n)):
+                expected = np.argsort(-scores, kind="stable")[:k]
+                np.testing.assert_array_equal(top_k(scores, k), expected)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 8, 9])
+    def test_ties_across_kth_keep_doc_id_order(self, k):
+        # each content under two or three ids, so equal scores cross the k-th place
+        contents = [make_document("c", [words]) for words in (["alpha", "beta"], ["alpha"], ["gamma"])]
+        docs = {f"d{i}": replace(contents[i % 3], doc_id=f"d{i}") for i in range(8)}
+        c = Collection(docs)
+        assert c.index.token_type is not None  # copies share their content's table
+        for query in ([phoc_encode("alpha"), phoc_encode("beta")], [np.zeros(PHOC_DIM)]):
+            full = rank_collection(c, query, k=len(c))
+            assert [(r.doc_id, r.score) for r in full] == sorted(
+                ((did, score_document(c[did], query)) for did in docs), key=lambda t: (-t[1], t[0])
+            )
+            head = rank_collection(c, query, k)
+            assert head == full[: min(k, len(c))]
+        # the all-zero query row scores every document 0, so ranks follow the ids
+        assert [r.doc_id for r in head] == sorted(docs)[:k]
+        assert {r.score for r in head} == {0.0}
 
     def test_determinism(self, rng):
         docs = {f"d{i}": [[random_word(rng, 1, 5) for _ in range(5)]] for i in range(10)}

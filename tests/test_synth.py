@@ -14,6 +14,14 @@ class TestGeneratorSpec:
         with pytest.raises(ValueError):
             GeneratorSpec(words_per_line=(0, 2))
 
+    def test_rejects_negative_num_questions(self):
+        with pytest.raises(ValueError, match="num_questions must be >= 0, got -1"):
+            GeneratorSpec(num_questions=-1)
+
+    def test_zero_questions_valid(self):
+        collection, questions = generate(GeneratorSpec(num_documents=3, num_questions=0, vocab_size=20, seed=1))
+        assert len(collection) == 3 and questions == []
+
     def test_rejects_small_vocab(self):
         with pytest.raises(ValueError, match="vocab"):
             generate(GeneratorSpec(num_questions=50, vocab_size=100))
