@@ -184,7 +184,7 @@ def forward(
     H = blstm_matrix(ctx_in, *model.blstm("ctx_enc"))  # T x 2h
     U = blstm_matrix(q_in, *model.blstm("q_enc"))  # J x 2h
     attended = c2q_attention(H, U, p["att_ws"])  # T x 2h
-    G = concat([H, attended], axis=1)  # T x 4h
+    G = concat([H, attended])  # T x 4h
     M = blstm_matrix(drop(blstm_matrix(drop(G), *model.blstm("model1"))), *model.blstm("model2"))  # T x 2h
 
     if cfg.mode == "line":

@@ -33,6 +33,14 @@ from .synth import GeneratorSpec, generate
 BACKENDS = ("attention", "bidaf-line", "bidaf-word")
 
 
+def non_negative_int(text: str) -> int:
+    """A --seed value; numpy's generators take only non-negative integers."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _load_corrupted(path: str, flip_rate: float, seed: int) -> Collection:
     # corrupt_collection rejects a flip rate outside [0, 1], NaN included,
     # and returns the collection itself at 0
@@ -149,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
         if k:
             p.add_argument("--k", type=int, default=5)
         p.add_argument("--flip-rate", dest="flip_rate", type=float, default=0.0)
-        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--seed", type=non_negative_int, default=42)
         if backend:
             p.add_argument("--backend", choices=BACKENDS, default="attention")
             p.add_argument("--checkpoint")
@@ -167,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-words", type=int, default=10)
     p.add_argument("--vocab-size", type=int, default=500)
     p.add_argument("--num-questions", type=int, default=50)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=non_negative_int, default=42)
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("retrieve", help="rank documents for a question")

@@ -1,13 +1,15 @@
 """Minimal trainable numeric kernel: tape-based reverse-mode autodiff over
-numpy arrays, with exactly the operations the span-prediction network needs
-(matmul, add, softmax, cross-entropy, dropout, BLSTM, context-to-query
-attention) plus the ADADELTA update.  The finite-difference gradient checker
-that verifies them lives with the tests (tests/oracles.py).
+numpy arrays, with exactly the operations the span-prediction network needs,
+plus the ADADELTA update.  The finite-difference gradient checker that
+verifies them lives with the tests (tests/oracles.py).
 
-Each LSTM direction is one tape node (lstm_sequence) over a fused (W, b)
-pair of parameter Tensors, whose backward pass is hand-written
-backpropagation through time, so a BLSTM adds the same few nodes to the
-tape whatever the sequence length.
+The tape's operations are matmul, add (a bias may be added to every row or
+entry), column concat, softmax, cross-entropy and three fused ones, each a
+single node with a hand-written backward pass: dropout, one LSTM direction
+(lstm_sequence, over a fused (W, b) pair of parameter Tensors, with
+backpropagation through time) and context-to-query attention.  A BLSTM and
+the attention therefore add the same few nodes to the tape whatever the
+sequence lengths.
 
 Everything runs in double precision; determinism requires single-threaded
 use and explicit seeded Generators for dropout and initialization.
@@ -45,28 +47,14 @@ class Tensor:
         self.grad = None
 
     def _accum(self, g: np.ndarray) -> None:
-        g = _unbroadcast(g, self.values.shape)
+        extra = g.ndim - self.values.ndim
+        if extra > 0:  # a bias broadcast over leading axes
+            g = g.sum(axis=tuple(range(extra)))
         if self.grad is None:
             # copy: g may alias the child's gradient buffer
             self.grad = np.array(g, dtype=np.float64)
         else:
             self.grad += g
-
-    def __getitem__(self, idx):
-        return getitem(self, idx)
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a broadcast gradient back to the shape of its source."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -77,19 +65,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             a._accum(g)
         if b.requires_grad:
             b._accum(g)
-
-    out._backward = bw
-    return out
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.values * b.values, (a, b))
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(g * b.values)
-        if b.requires_grad:
-            b._accum(g * a.values)
 
     out._backward = bw
     return out
@@ -112,71 +87,37 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def getitem(a: Tensor, idx) -> Tensor:
-    out = Tensor(a.values[idx], (a,))
-
-    def bw(g):
-        if a.requires_grad:
-            # accumulate in place; basic indexing never repeats positions
-            if a.grad is None:
-                a.grad = np.zeros_like(a.values)
-            a.grad[idx] += g
-
-    out._backward = bw
-    return out
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    out = Tensor(a.values.reshape(shape), (a,))
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(g.reshape(a.values.shape))
-
-    out._backward = bw
-    return out
-
-
-def transpose(a: Tensor) -> Tensor:
-    out = Tensor(a.values.T, (a,))
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(g.T)
-
-    out._backward = bw
-    return out
-
-
-def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    out = Tensor(np.concatenate([t.values for t in tensors], axis=axis), tuple(tensors))
-    sizes = [t.values.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+def concat(tensors: list[Tensor]) -> Tensor:
+    """Join matrices with the same number of rows column-wise."""
+    offsets = np.cumsum([0] + [t.values.shape[1] for t in tensors])
 
     def bw(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                t._accum(g[tuple(sl)])
+                t._accum(g[:, lo:hi])
 
-    out._backward = bw
-    return out
+    return Tensor(np.concatenate([t.values for t in tensors], axis=1), tuple(tensors), bw)
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient at the logits of a softmax with output p and output gradient g."""
+    return p * (g - np.sum(g * p, axis=-1, keepdims=True))
 
 
 def softmax(logits: Tensor) -> Tensor:
     """Numerically stable softmax over the last axis."""
-    z = logits.values - logits.values.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(p, (logits,))
+    p = _softmax(logits.values)
 
     def bw(g):
         if logits.requires_grad:
-            logits._accum(p * (g - np.sum(g * p, axis=-1, keepdims=True)))
+            logits._accum(_softmax_grad(p, g))
 
-    out._backward = bw
-    return out
+    return Tensor(p, (logits,), bw)
 
 
 def cross_entropy(probs: Tensor, target: int) -> Tensor:
@@ -197,13 +138,18 @@ def cross_entropy(probs: Tensor, target: int) -> Tensor:
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
     """Inverted dropout: zero entries with probability `rate` and scale
-    survivors by 1/(1-rate); identity in evaluation mode."""
+    survivors by 1/(1-rate), as one tape node; identity in evaluation mode."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate {rate} outside [0, 1)")
     if not training or rate == 0.0:
         return x
     mask = (rng.random(x.values.shape) >= rate) / (1.0 - rate)
-    return mul(x, Tensor(mask))
+
+    def bw(g):
+        if x.requires_grad:
+            x._accum(g * mask)
+
+    return Tensor(x.values * mask, (x,), bw)
 
 
 def backward(loss: Tensor) -> None:
@@ -305,7 +251,7 @@ def lstm_sequence(X: Tensor, W: Tensor, b: Tensor, reverse: bool = False) -> Ten
 def blstm_matrix(X: Tensor, fwd: tuple[Tensor, Tensor], bwd: tuple[Tensor, Tensor]) -> Tensor:
     """BLSTM over the rows of X with the (W, b) pairs of the forward and
     backward directions; returns a (T, 2*hidden) tensor."""
-    return concat([lstm_sequence(X, *fwd), lstm_sequence(X, *bwd, reverse=True)], axis=1)
+    return concat([lstm_sequence(X, *fwd), lstm_sequence(X, *bwd, reverse=True)])
 
 
 # ---------------------------------------------------------------------------
@@ -313,23 +259,40 @@ def blstm_matrix(X: Tensor, fwd: tuple[Tensor, Tensor], bwd: tuple[Tensor, Tenso
 
 
 def c2q_attention(context: Tensor, question: Tensor, ws: Tensor) -> Tensor:
-    """Attend each context row over the question rows.
+    """Attend each context row over the question rows, as one tape node.
 
     Scores are s_tj = ws . [h_t; u_j; h_t*u_j] with a single trainable
     weight vector; each context position gets the softmax-weighted sum of
     the question vectors.  Takes (T, d) and (J, d) tensors and returns a
-    (T, d) tensor.
+    (T, d) tensor.  The backward pass adds each term into an input's
+    gradient on its own and in a fixed order: floating-point addition does
+    not associate, so regrouping the terms changes the trained bytes.
     """
-    H, U = context, question
-    T, d = H.shape
-    J = U.shape[0]
-    w_h, w_u, w_hu = ws[0:d], ws[d : 2 * d], ws[2 * d : 3 * d]
+    H, U, w = context.values, question.values, ws.values
+    d = H.shape[1]
+    w_h, w_u, w_hu = w[:d], w[d : 2 * d], w[2 * d : 3 * d]
+    m = H * w_hu
     # s_tj decomposes into a context term, a question term and a bilinear term
-    scores = add(
-        add(reshape(matmul(H, w_h), (T, 1)), reshape(matmul(U, w_u), (1, J))),
-        matmul(mul(H, w_hu), transpose(U)),
-    )
-    return matmul(softmax(scores), U)
+    P = _softmax(((H @ w_h)[:, None] + (U @ w_u)[None, :]) + m @ U.T)
+
+    def bw(g):
+        gS = _softmax_grad(P, g @ U.T)
+        ga, gb, gm = gS.sum(axis=1), gS.sum(axis=0), gS @ U
+        if context.requires_grad:
+            context._accum(np.outer(ga, w_h))
+            context._accum(gm * w_hu)
+        if question.requires_grad:
+            question._accum(P.T @ g)
+            question._accum(np.outer(gb, w_u))
+            question._accum((m.T @ gS).T)
+        if ws.requires_grad:
+            gw = np.zeros_like(w)
+            gw[:d] += H.T @ ga
+            gw[d : 2 * d] += U.T @ gb
+            gw[2 * d : 3 * d] += (gm * H).sum(axis=0)
+            ws._accum(gw)
+
+    return Tensor(P @ U, (context, question, ws), bw)
 
 
 # ---------------------------------------------------------------------------

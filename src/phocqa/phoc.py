@@ -37,8 +37,9 @@ def phoc_encode(word: str) -> np.ndarray:
     interval with the region [r/L, (r+1)/L].  An exact 50% tie falls the way
     the rounding does: 20 of the 118 ties in words of up to 40 characters (at
     lengths 3, 6, 7, 11, 14, 19, 22, 27, 29, 35, 38 and 39) leave their bit
-    clear.  The exact rule waits for ROADMAP item 4, because
-    phocbench/reference.py follows this float rule.
+    clear.  The exact rule waits for the ROADMAP item on an exact,
+    table-driven PHOC encoder, because phocbench/reference.py follows this
+    float rule.
     """
     v = np.zeros(PHOC_DIM, dtype=np.float64)
     n = len(word)

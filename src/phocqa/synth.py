@@ -38,6 +38,8 @@ class GeneratorSpec:
             raise ValueError("num_documents and vocab_size must be positive")
         if self.num_questions < 0:
             raise ValueError(f"num_questions must be >= 0, got {self.num_questions}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _make_vocabulary(size: int, rng: np.random.Generator) -> list[str]:

@@ -48,6 +48,17 @@ def draw_blstm(input_dim: int, hidden: int, rng: np.random.Generator):
     return draw_lstm(input_dim, hidden, rng), draw_lstm(input_dim, hidden, rng)
 
 
+def tape_nodes(out: Tensor) -> int:
+    """Number of distinct tensors reachable from `out` through its parents."""
+    seen, todo = set(), [out]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(node._parents)
+    return len(seen)
+
+
 def npy_bytes(array: np.ndarray) -> bytes:
     """The bytes of an .npy file holding `array`."""
     buffer = io.BytesIO()

@@ -3,15 +3,16 @@
 These are written against the definitions directly and deliberately share
 no code with the library: occupancy-rule PHOC bits, nested-loop max/mean
 document scoring, two-line snippet windows, set-arithmetic DIS, per-word
-PHOC bit flips, the unblocked per-tensor ADADELTA update and the
-double-loop constrained span argmax.  The one exception is the
-finite-difference gradient checker at the end: it takes the analytic
-gradients from the library's tape and compares them against central
-differences of the loss.
+PHOC bit flips, the unblocked per-tensor ADADELTA update, the double-loop
+constrained span argmax and the looped context-to-query attention
+gradient.  The one exception is the finite-difference gradient checker at
+the end: it takes the analytic gradients from the library's tape and
+compares them against central differences of the loss.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -132,6 +133,32 @@ def span_argmax_reference(start_logits, end_logits, max_span: int) -> tuple[int,
             if v > best[2]:
                 best = (s, e, v)
     return best
+
+
+def c2q_gradient_reference(H, U, ws, G) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients at H (T x d), U (J x d) and ws (3d) of sum(G * out), where
+    out_t = sum_j a_tj u_j, a_t = softmax_j(s_tj) and
+    s_tj = ws . [h_t; u_j; h_t*u_j], one scalar at a time."""
+    T, d = H.shape
+    J = U.shape[0]
+    gH, gU, gws = np.zeros((T, d)), np.zeros((J, d)), np.zeros(3 * d)
+    for t in range(T):
+        s = [sum(ws[k] * H[t, k] + ws[d + k] * U[j, k] + ws[2 * d + k] * H[t, k] * U[j, k] for k in range(d))
+             for j in range(J)]
+        e = [math.exp(v - max(s)) for v in s]
+        a = [v / sum(e) for v in e]
+        # out_t = sum_j a_tj u_j, so dL/da_tj = G_t . u_j and dL/du_j gets a_tj G_t
+        ga = [sum(G[t, k] * U[j, k] for k in range(d)) for j in range(J)]
+        mean = sum(a[j] * ga[j] for j in range(J))
+        for j in range(J):
+            gs = a[j] * (ga[j] - mean)
+            for k in range(d):
+                gU[j, k] += a[j] * G[t, k] + gs * (ws[d + k] + ws[2 * d + k] * H[t, k])
+                gH[t, k] += gs * (ws[k] + ws[2 * d + k] * U[j, k])
+                gws[k] += gs * H[t, k]
+                gws[d + k] += gs * U[j, k]
+                gws[2 * d + k] += gs * H[t, k] * U[j, k]
+    return gH, gU, gws
 
 
 def finite_difference_check(

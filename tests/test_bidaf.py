@@ -17,9 +17,10 @@ from phocqa.bidaf import (
     line_positional_encoding,
 )
 from phocqa.corpus import preprocess_query
+from phocqa.phoc import phoc_encode
 from phocqa.synth import GeneratorSpec, generate
 
-from conftest import make_document, npy_bytes
+from conftest import make_document, npy_bytes, random_word, tape_nodes
 from oracles import adadelta_reference, finite_difference_check, span_argmax_reference
 
 SMALL = dict(hidden=6, pos_dim=6, dropout_rate=0.0)
@@ -348,6 +349,22 @@ class TestFullGraphGradient:
             loss_fn, model.parameters(), max_coords_per_tensor=3, rng=np.random.default_rng(0)
         )
         assert err <= 1e-4
+
+
+class TestTape:
+    @pytest.mark.parametrize("mode, nodes", [("line", 60), ("word", 58)])
+    def test_loss_tape_size_independent_of_lengths(self, mode, nodes, rng):
+        # 2 inputs, 5 dropouts, 5 BLSTMs of 7 (4 parameters, 2 directions and
+        # their concat), att_ws and the attention, the concat of H and the
+        # attention, 8 for the two heads and 5 for the loss; line mode adds
+        # the aggregation matrix and its product
+        model = BidafModel(BidafConfig(hidden=3, pos_dim=4, dropout_rate=0.2, mode=mode), seed=1)
+        sizes = set()
+        for num_lines, words_per_line, question_length in ((1, 1, 1), (3, 4, 2), (9, 7, 6)):
+            doc = make_document("d", [[random_word(rng) for _ in range(words_per_line)] for _ in range(num_lines)])
+            question = [phoc_encode(random_word(rng)) for _ in range(question_length)]
+            sizes.add(tape_nodes(bidaf.example_loss(doc, question, (0, 0), model, training=True, rng=rng)))
+        assert sizes == {nodes}
 
 
 class TestCheckpoint:

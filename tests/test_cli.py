@@ -432,3 +432,23 @@ class TestTrainAnswerEval:
         assert out.err.splitlines() == [f"error: flip_rate {float(flip_rate)} outside [0, 1]"]
         assert out.out == ""
         assert not report.exists() and not ckpt.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "retrieve", "train", "answer", "eval"])
+def test_rejects_negative_seed_while_parsing(corpus_dir, tmp_path, capsys, command):
+    collection, questions = str(corpus_dir / "collection.json"), str(corpus_dir / "questions.json")
+    output, report, ckpt = tmp_path / "out", tmp_path / "report.json", tmp_path / "model.ckpt"
+    argv = [command, "--seed", "-1"] + {
+        "generate": ["--output", str(output)],
+        "retrieve": ["dear sir", "--collection", collection],
+        "train": ["--collection", collection, "--questions", questions, "--checkpoint", str(ckpt), "--hidden", "4"],
+        "answer": ["dear sir", "--collection", collection],
+        "eval": ["--collection", collection, "--questions", questions, "--report", str(report)],
+    }[command]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    out = capsys.readouterr()
+    assert out.err.splitlines()[-1] == f"phocqa {command}: error: argument --seed: must be a non-negative integer, got -1"
+    assert out.out == ""
+    assert not output.exists() and not report.exists() and not ckpt.exists()

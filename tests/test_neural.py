@@ -5,24 +5,19 @@ import pytest
 
 from phocqa import neural as nn
 
-from conftest import draw_blstm, draw_lstm
-from oracles import adadelta_reference, finite_difference_check
+from conftest import draw_blstm, draw_lstm, tape_nodes
+from oracles import adadelta_reference, c2q_gradient_reference, finite_difference_check
 
 
 def sum_of_squares(x: nn.Tensor) -> nn.Tensor:
-    """x . x as a scalar: x as a (1, n) matrix times x as an (n,) vector."""
-    return nn.reshape(nn.matmul(nn.reshape(x, (1, -1)), nn.reshape(x, (-1,))), ())
+    """The sum of the squares of x's entries, as a scalar tape node whose
+    backward pass adds 2x times the upstream gradient into x."""
 
+    def bw(g):
+        if x.requires_grad:
+            x._accum(2.0 * g * x.values)
 
-def tape_nodes(out: nn.Tensor) -> int:
-    """Number of distinct tensors reachable from `out` through its parents."""
-    seen, todo = set(), [out]
-    while todo:
-        node = todo.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            todo.extend(node._parents)
-    return len(seen)
+    return nn.Tensor(np.sum(x.values * x.values), (x,), bw)
 
 
 def dense(x, W, b):
@@ -50,7 +45,8 @@ class TestDense:
         W = nn.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         b = nn.Tensor(rng.standard_normal(3), requires_grad=True)
         out = dense(nn.Tensor(rng.standard_normal(4)), W, b)
-        nn.backward(nn.reshape(nn.matmul(nn.Tensor([[1.0, 2.0, 3.0]]), out), ()))
+        # a (1,) output, so backward seeds it with [1.0]
+        nn.backward(nn.matmul(nn.Tensor([[1.0, 2.0, 3.0]]), out))
         np.testing.assert_allclose(b.grad, [1.0, 2.0, 3.0])
 
 
@@ -221,6 +217,15 @@ class TestDropout:
         with pytest.raises(ValueError):
             nn.dropout(nn.Tensor([1.0]), 1.0, rng, training=True)
 
+    def test_one_tape_node_with_mask_gradient(self, rng):
+        x = nn.Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+        out = nn.dropout(x, 0.4, np.random.default_rng(9), training=True)
+        mask = (np.random.default_rng(9).random((5, 3)) >= 0.4) / 0.6
+        np.testing.assert_array_equal(out.values, x.values * mask)
+        assert tape_nodes(out) == 2
+        nn.backward(sum_of_squares(out))
+        np.testing.assert_array_equal(x.grad, 2.0 * out.values * mask)
+
 
 class TestC2QAttention:
     def test_single_question_vector(self, rng):
@@ -251,14 +256,33 @@ class TestC2QAttention:
             np.testing.assert_allclose(out[t], a @ Uv, atol=1e-12)
 
     def test_gradients(self, rng):
-        Hv = rng.standard_normal((3, 4))
-        Uv = rng.standard_normal((2, 4))
-        ws = nn.Tensor(rng.standard_normal(12), requires_grad=True)
+        params = {
+            "H": nn.Tensor(rng.standard_normal((3, 4)), requires_grad=True),
+            "U": nn.Tensor(rng.standard_normal((2, 4)), requires_grad=True),
+            "ws": nn.Tensor(rng.standard_normal(12), requires_grad=True),
+        }
 
         def loss_fn():
-            return sum_of_squares(nn.c2q_attention(nn.Tensor(Hv), nn.Tensor(Uv), ws))
+            return sum_of_squares(nn.c2q_attention(*params.values()))
 
-        assert finite_difference_check(loss_fn, {"ws": ws}) <= 1e-4
+        assert finite_difference_check(loss_fn, params) <= 1e-4
+
+    @pytest.mark.parametrize("T, J, d", [(1, 1, 3), (1, 4, 2), (5, 1, 3), (4, 3, 5), (7, 6, 4)])
+    def test_gradients_match_brute_force(self, T, J, d):
+        rng = np.random.default_rng(T * 100 + J * 10 + d)
+        H, U, ws = (nn.Tensor(rng.standard_normal(shape), requires_grad=True) for shape in ((T, d), (J, d), (3 * d,)))
+        out = nn.c2q_attention(H, U, ws)
+        nn.backward(sum_of_squares(out))
+        expected = c2q_gradient_reference(H.values, U.values, ws.values, 2.0 * out.values)
+        for got, want in zip((H.grad, U.grad, ws.grad), expected):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_one_tape_node(self, rng):
+        sizes = set()
+        for T, J in ((1, 1), (6, 2), (30, 9)):
+            H, U = nn.Tensor(rng.standard_normal((T, 4))), nn.Tensor(rng.standard_normal((J, 4)))
+            sizes.add(tape_nodes(nn.c2q_attention(H, U, nn.Tensor(rng.standard_normal(12)))))
+        assert sizes == {4}  # the three inputs and the attention
 
 
 class TestAdadelta:
@@ -439,13 +463,13 @@ class TestPerLayerGradients:
     @pytest.mark.parametrize("seed", range(10))
     def test_attention(self, seed):
         rng = np.random.default_rng(seed)
-        Hv = rng.standard_normal((4, 4))
-        Uv = rng.standard_normal((3, 4))
+        H = nn.Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+        U = nn.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         ws = nn.Tensor(rng.standard_normal(12), requires_grad=True)
         w_out = nn.Tensor(rng.standard_normal(4), requires_grad=True)
 
         def loss_fn():
-            att = nn.c2q_attention(nn.Tensor(Hv), nn.Tensor(Uv), ws)
+            att = nn.c2q_attention(H, U, ws)
             return nn.cross_entropy(nn.softmax(nn.matmul(att, w_out)), 0)
 
-        assert finite_difference_check(loss_fn, {"ws": ws, "w_out": w_out}) <= 1e-4
+        assert finite_difference_check(loss_fn, {"H": H, "U": U, "ws": ws, "w_out": w_out}) <= 1e-4

@@ -18,6 +18,10 @@ class TestGeneratorSpec:
         with pytest.raises(ValueError, match="num_questions must be >= 0, got -1"):
             GeneratorSpec(num_questions=-1)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            GeneratorSpec(seed=-1)
+
     def test_zero_questions_valid(self):
         collection, questions = generate(GeneratorSpec(num_documents=3, num_questions=0, vocab_size=20, seed=1))
         assert len(collection) == 3 and questions == []
