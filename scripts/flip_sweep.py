@@ -13,7 +13,6 @@ import argparse
 import numpy as np
 
 from phocqa.corpus import corrupt_collection
-from phocqa.phoc import phoc_encode
 from phocqa.retriever import rank_collection
 from phocqa.synth import GeneratorSpec, generate
 
@@ -35,7 +34,7 @@ def run_sweep(rates, seeds, num_docs, num_questions):
             noisy = corrupt_collection(collection, rate, np.random.default_rng(j * 101 + i))
             h1 = h5 = 0
             for q in questions:
-                results = rank_collection(noisy, [phoc_encode(t) for t in q.tokens], k=5)
+                results = rank_collection(noisy, q.query, k=5)
                 h1 += results[0].doc_id == q.gold_doc_id
                 h5 += any(r.doc_id == q.gold_doc_id for r in results)
             top1[i, j] = h1 / len(questions)

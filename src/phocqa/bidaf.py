@@ -42,7 +42,7 @@ from .neural import (
     softmax,
     zero_grads,
 )
-from .phoc import PHOC_DIM, phoc_encode
+from .phoc import PHOC_DIM
 
 CHECKPOINT_FORMAT = "phocqa-bidaf-v1"
 
@@ -269,7 +269,7 @@ def train(
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     mode = model.config.mode
-    prepared = [(doc, [phoc_encode(t) for t in q.tokens], _gold_span(q, doc, mode)) for doc, q in examples]
+    prepared = [(doc, q.query, _gold_span(q, doc, mode)) for doc, q in examples]
 
     params = model.parameters()
     rng = np.random.default_rng(seed)
@@ -295,7 +295,7 @@ def span_accuracy(model: BidafModel, examples: list[tuple[Document, Question]]) 
         return 0.0
     hits = 0
     for doc, q in examples:
-        pred = predict(doc, [phoc_encode(t) for t in q.tokens], model)
+        pred = predict(doc, q.query, model)
         if model.config.mode == "line":
             got = (pred.start_line, pred.end_line)
         else:
@@ -383,7 +383,7 @@ def load_checkpoint(path) -> BidafModel:
     arrays = _read_archive(path)
     if "__meta__" not in arrays:
         raise ValueError("checkpoint lacks key '__meta__'")
-    meta = parse_json(bytes(arrays.pop("__meta__")).decode("utf-8"), f"{path}: checkpoint '__meta__'")
+    meta = parse_json(bytes(arrays.pop("__meta__")), f"{path}: checkpoint '__meta__'")
     if not isinstance(meta, dict):
         raise ValueError("checkpoint '__meta__' is not a JSON object")
     if meta.get("format") != CHECKPOINT_FORMAT:

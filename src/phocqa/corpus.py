@@ -2,15 +2,18 @@
 
 A document is a word sequence held as columns: transcriptions, a
 token-to-line column and a token-to-row map into a read-only table of
-packed 512-bit PHOC rows (PACKED_WORDS uint64 words each).  load_collection
-and synth.generate give every document of a collection the same table, one
-row per distinct word, and corrupt_collection gives each document a table
-of its own, one row per token.  Word objects are views built on demand by
-Document.words.  Recognition noise (the "predicted PHOC" condition) is
-simulated by independent Bernoulli bit flips on the document-side rows;
-query vectors stay exact.
+packed 512-bit PHOC rows (PACKED_WORDS uint64 words each).  The one
+builder, build_collection, serves load_collection and synth.generate and
+gives every document the same table, one row per distinct word;
+corrupt_collection gives each document a table of its own, one row per
+token.  Word objects are views built on demand by Document.words.
+Recognition noise (the "predicted PHOC" condition) is simulated by
+independent Bernoulli bit flips on the document-side rows; query vectors
+stay exact.  Question.from_span derives a question's tokens and gold lines,
+and Question.query, the PHOC of each token, shares its encoder with
+preprocess_query.
 
-For scoring, a collection is held as a packed index: the rows of each
+A Collection builds its packed index as it is made: the rows of each
 distinct table, stacked once in first-seen order, plus a token-to-row map
 (None when token i is row i) and per-document offsets.  The packing format
 is defined here and nowhere else.
@@ -19,11 +22,11 @@ is defined here and nowhere else.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from pathlib import Path
 from types import MappingProxyType
 
@@ -144,13 +147,15 @@ class Document:
 @dataclass(frozen=True)
 class Collection:
     documents: Mapping[str, Document] = field(default_factory=dict)
+    index: PackedIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # read-only, so the cached index can never go stale
+        # read-only, so the index can never go stale
         object.__setattr__(self, "documents", MappingProxyType(dict(self.documents)))
         for key, doc in self.documents.items():
             if key != doc.doc_id:
                 raise ValueError(f"collection key {key!r} holds document {doc.doc_id!r}")
+        object.__setattr__(self, "index", build_index(self.ordered()))  # built here, so no query pays for it
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -160,13 +165,6 @@ class Collection:
 
     def ordered(self) -> list[Document]:
         return [self.documents[k] for k in sorted(self.documents)]
-
-    @cached_property
-    def index(self) -> PackedIndex:
-        """The packed index over ordered(), built on first use.
-        load_collection and corrupt_collection build it before they return,
-        so no query pays for it."""
-        return build_index(self.ordered())
 
 
 PACKED_WORDS = 8  # uint64 words per packed PHOC: 504 bits, zero-padded to 512
@@ -233,6 +231,22 @@ def phoc_table(texts: Iterable[str]) -> np.ndarray:
     return _pack_bits(phocs == 1.0)
 
 
+def build_collection(columns: Mapping[str, tuple[Sequence[str], Sequence[int], tuple | None]]) -> Collection:
+    """A Collection with one Document per doc_id, in the mapping's order,
+    from its (normalized transcriptions, line column, bboxes or None).  All
+    documents share one PHOC table, one row per distinct transcription in
+    first-seen order."""
+    distinct = dict.fromkeys(chain.from_iterable(texts for texts, _, _ in columns.values()))
+    rows = {text: row for row, text in enumerate(distinct)}
+    table = phoc_table(rows)
+    documents = {}
+    for doc_id, (texts, word_lines, bboxes) in columns.items():
+        token_row = np.fromiter(map(rows.__getitem__, texts), dtype=np.intp, count=len(texts))
+        word_lines = np.asarray(word_lines, dtype=np.intp)  # a loader's column is not copied
+        documents[doc_id] = Document(doc_id, tuple(texts), word_lines, table, token_row, bboxes)
+    return Collection(documents)
+
+
 def build_index(documents: Sequence[Document]) -> PackedIndex:
     """Stack the tables of `documents` into one index, in document order.
 
@@ -261,8 +275,8 @@ def build_index(documents: Sequence[Document]) -> PackedIndex:
 
 @dataclass(frozen=True)
 class Question:
-    """A question and its gold answer.  `tokens` are query_tokens(text), and
-    a question's query is the phoc_encode of each."""
+    """A question and its gold answer; from_span derives the tokens and the
+    gold lines."""
 
     question_id: str
     text: str
@@ -270,6 +284,25 @@ class Question:
     gold_doc_id: str
     gold_word_span: tuple[int, int]
     gold_line_span: tuple[int, int]
+
+    @classmethod
+    def from_span(cls, question_id: str, text: str, document: Document, word_span: tuple[int, int]) -> Question:
+        """The question `text` answered by words word_span[0]..word_span[1]
+        of `document`; a bad span or text raises ValueError naming it."""
+        where = f"question {question_id!r}"
+        if not (0 <= word_span[0] <= word_span[1] < len(document)):
+            raise ValueError(f"{where}: gold span {word_span} outside document {document.doc_id!r}")
+        try:
+            tokens = tuple(query_tokens(text))
+        except ValueError as e:
+            raise ValueError(f"{where}: field 'text': {e}") from None
+        lines = (document.line_of_word(word_span[0]), document.line_of_word(word_span[1]))
+        return cls(question_id, text, tokens, document.doc_id, word_span, lines)
+
+    @property
+    def query(self) -> list[np.ndarray]:
+        """The PHOC of each token, encoded on each call."""
+        return _encode_query(self.tokens)
 
 
 @dataclass(frozen=True)
@@ -310,25 +343,24 @@ def _line_spans(doc: Document) -> list[tuple[int, int, int]]:
 def _bbox(raw, where: str, pos: int) -> BBox:
     if not (
         isinstance(raw, list) and len(raw) == 4
-        and all(type(x) in (int, float) and math.isfinite(x) for x in raw)
+        and all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in raw)  # a huge int fails
     ):
         raise ValueError(f"{where}: word {pos} field 'bbox' must be 4 finite numbers, not {raw!r}")
     return tuple(raw)
 
 
-def _parse_document(entry, position: int, word_types: dict[str, tuple[str, int]], rows: dict[str, int]):
-    """The Document fields of one JSON entry, and its file's sorted 'lines',
-    which load_collection checks.  `word_types` maps each raw text seen so
-    far to its transcription and table row, and `rows` each transcription
-    to its row, so a text is checked and normalized only the first time it
-    is seen."""
+def _parse_document(entry, position: int, texts: dict[str, str]):
+    """The doc_id of one JSON entry, its build_collection columns and its
+    file's sorted 'lines', which load_collection checks.  `texts` maps each
+    raw text seen so far to its transcription, so a text is checked and
+    normalized only the first time it is seen."""
     doc_id = entry.get("doc_id") if isinstance(entry, dict) else None
     if not isinstance(doc_id, str):
         raise ValueError(f"document {position}: field 'doc_id' must be a string, not {doc_id!r}")
     where = f"document {doc_id!r}"
     raw_words = _list_field(entry, "words", where)
     lines = sorted(_line(ln, where) for ln in _list_field(entry, "lines", where))
-    transcriptions, token_row, word_lines, bboxes = [], [], [], []
+    transcriptions, word_lines, bboxes = [], [], []
     pos = 0
     try:
         for pos, w in enumerate(raw_words):
@@ -341,15 +373,13 @@ def _parse_document(entry, position: int, word_types: dict[str, tuple[str, int]]
             if type(line) is not int or not 0 <= line <= pos:  # a word's line cannot come after its index
                 raise ValueError(f"{where}: word_index {pos} has line_index {line!r}, not an integer in 0..{pos}")
             try:
-                text, row = word_types[raw]
+                text = texts[raw]
             except (KeyError, TypeError):  # a new text, or not a string at all
                 if not isinstance(raw, str):
                     raise ValueError(f"{where}: word {pos} field 'text' must be a string, not {raw!r}") from None
-                text = normalize_token(raw)
-                text, row = word_types[raw] = (text, rows.setdefault(text, len(rows)))
+                text = texts[raw] = normalize_token(raw)
             bbox = w.get("bbox")
             transcriptions.append(text)
-            token_row.append(row)
             word_lines.append(line)
             bboxes.append(None if bbox is None else _bbox(bbox, where, pos))
     except KeyError as e:
@@ -357,51 +387,50 @@ def _parse_document(entry, position: int, word_types: dict[str, tuple[str, int]]
     except TypeError:
         raise ValueError(f"{where}: word {pos} is not an object") from None
     boxed = tuple(bboxes) if bboxes.count(None) < len(bboxes) else None
-    word_lines, token_row = np.array(word_lines, dtype=np.intp), np.array(token_row, dtype=np.intp)
-    return doc_id, tuple(transcriptions), word_lines, token_row, boxed, lines
+    return doc_id, (tuple(transcriptions), np.array(word_lines, dtype=np.intp), boxed), lines
 
 
-def parse_json(text: str, source) -> object:
-    """json.loads, but a nesting too deep for the parser raises ValueError
-    naming `source` instead of RecursionError."""
+def parse_json(data: str | bytes, source) -> object:
+    """json.loads of `data`, bytes decoded as UTF-8, but any failure names
+    `source` first: a syntax error stays a json.JSONDecodeError, and bytes
+    that are not UTF-8, an integer too long to convert or a nesting too deep
+    for the parser raise ValueError."""
     try:
-        return json.loads(text)
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except json.JSONDecodeError as e:
+        raise json.JSONDecodeError(f"{source}: {e.msg}", e.doc, e.pos) from None
     except RecursionError:
         raise ValueError(f"{source}: JSON nested too deeply to parse") from None
+    except ValueError as e:
+        raise ValueError(f"{source}: {e}") from None
 
 
 def load_collection(path: str | Path) -> Collection:
-    """Load and fully validate a collection JSON file; PHOCs are computed
-    and packed here, once per distinct word, into one table that every
-    document shares.  Each document's 'lines' must be the spans of its
-    words' line_index.  A malformed collection raises ValueError naming the
-    document and field."""
-    with open(path, encoding="utf-8") as f:
+    """Load and fully validate a collection JSON file into the
+    build_collection of its documents.  Each document's 'lines' must be the
+    spans of its words' line_index.  A malformed collection raises
+    ValueError naming the document and field."""
+    with open(path, "rb") as f:
         data = parse_json(f.read(), path)
     if not isinstance(data, dict):
         raise ValueError(f"collection must be a JSON object, not {type(data).__name__}")
     entries = _list_field(data, "documents", "top level")
-    word_types: dict[str, tuple[str, int]] = {}
-    rows: dict[str, int] = {}
-    parsed = {}
+    texts: dict[str, str] = {}
+    columns, file_lines = {}, {}
     for position, entry in enumerate(entries):
-        doc_id, *fields = _parse_document(entry, position, word_types, rows)
-        if doc_id in parsed:
+        doc_id, fields, lines = _parse_document(entry, position, texts)
+        if doc_id in columns:
             raise ValueError(f"duplicate doc_id {doc_id!r}")
-        parsed[doc_id] = fields
-    table = phoc_table(rows)
-    documents = {}
-    for doc_id, (transcriptions, word_lines, token_row, bboxes, lines) in parsed.items():
-        doc = documents[doc_id] = Document(doc_id, transcriptions, word_lines, table, token_row, bboxes)
-        spans = _line_spans(doc)
+        columns[doc_id], file_lines[doc_id] = fields, lines
+    collection = build_collection(columns)
+    for doc_id, lines in file_lines.items():
+        spans = _line_spans(collection[doc_id])
         if lines != spans:
             pos, got, want = next((i, a, b) for i, (a, b) in enumerate(zip_longest(lines, spans)) if a != b)
             raise ValueError(
                 f"document {doc_id!r}: field 'lines' disagrees with the words' line_index at line {pos}: "
                 f"(line_index, start_word, end_word) is {got} in the file, {want} by the words"
             )
-    collection = Collection(documents)
-    collection.index  # built while loading, not by the first query
     return collection
 
 
@@ -448,7 +477,7 @@ def load_questions(path: str | Path, collection: Collection) -> list[Question]:
     file raises ValueError naming the question (by id, or by position when
     it has no string id) and the field; a repeated question_id raises
     ValueError naming it."""
-    with open(path, encoding="utf-8") as f:
+    with open(path, "rb") as f:
         data = parse_json(f.read(), path)
     if not isinstance(data, dict):
         raise ValueError(f"question file must be a JSON object, not {type(data).__name__}")
@@ -468,21 +497,7 @@ def load_questions(path: str | Path, collection: Collection) -> list[Question]:
         doc = collection.documents.get(q["gold_doc_id"])
         if doc is None:
             raise ValueError(f"{where}: unknown gold_doc_id {q['gold_doc_id']!r}")
-        span = (q["gold_start_word"], q["gold_end_word"])
-        if not (0 <= span[0] <= span[1] < len(doc)):
-            raise ValueError(f"{where}: gold span {span} outside document {doc.doc_id!r}")
-        try:
-            tokens = tuple(query_tokens(q["text"]))
-        except ValueError as e:
-            raise ValueError(f"{where}: field 'text': {e}") from None
-        questions[qid] = Question(
-            question_id=qid,
-            text=q["text"],
-            tokens=tokens,
-            gold_doc_id=doc.doc_id,
-            gold_word_span=span,
-            gold_line_span=(doc.line_of_word(span[0]), doc.line_of_word(span[1])),
-        )
+        questions[qid] = Question.from_span(qid, q["text"], doc, (q["gold_start_word"], q["gold_end_word"]))
     return list(questions.values())
 
 
@@ -516,10 +531,15 @@ def query_tokens(text: str) -> list[str]:
     return kept or normalized
 
 
+def _encode_query(tokens: Iterable[str]) -> list[np.ndarray]:
+    """A query: the PHOC of each token."""
+    return [phoc_encode(t) for t in tokens]
+
+
 def preprocess_query(text: str) -> tuple[list[str], list[np.ndarray]]:
     """The query_tokens of a question and the PHOC of each."""
     kept = query_tokens(text)
-    return kept, [phoc_encode(t) for t in kept]
+    return kept, _encode_query(kept)
 
 
 def corrupt_collection(collection: Collection, flip_rate: float, rng: np.random.Generator) -> Collection:
@@ -540,6 +560,4 @@ def corrupt_collection(collection: Collection, flip_rate: float, rng: np.random.
         clean = doc.rows
         noisy = clean ^ _pack_bits(rng.random((len(clean), PHOC_DIM)) < flip_rate)
         documents[doc.doc_id] = replace(doc, table=noisy, token_row=np.arange(len(clean)))
-    noisy = Collection(documents)
-    noisy.index  # built while corrupting, not by the first query
-    return noisy
+    return Collection(documents)

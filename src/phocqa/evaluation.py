@@ -17,7 +17,6 @@ from typing import Callable
 import numpy as np
 
 from .corpus import AnswerPrediction, Collection, Document, Question
-from .phoc import phoc_encode
 from .retriever import RetrievalResult, rank_collection
 
 DIS_THRESHOLD = 0.8  # a prediction is correct when its DIS is strictly above this
@@ -130,8 +129,7 @@ def evaluate(
     for q in questions:
         if q.gold_doc_id not in collection.documents:
             raise ValueError(f"question {q.question_id!r}: gold_doc_id {q.gold_doc_id!r} not in collection")
-        query = [phoc_encode(t) for t in q.tokens]
-        pred, retrieved = answer_collection(collection, query, qa_model, k)
+        pred, retrieved = answer_collection(collection, q.query, qa_model, k)
         if pred.doc_id == q.gold_doc_id:
             boxes = build_boxes(
                 collection[q.gold_doc_id], q.gold_word_span, (pred.start_line, pred.end_line)

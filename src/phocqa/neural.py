@@ -18,6 +18,7 @@ use and explicit seeded Generators for dropout and initialization.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -317,7 +318,7 @@ class AdadeltaState:
     def __post_init__(self) -> None:
         for name in ("lr", "rho", "eps"):
             value = getattr(self, name)
-            if not (type(value) in (int, float) and math.isfinite(value)):  # exact: a bool is not a number here
+            if not (type(value) in (int, float) and abs(value) <= sys.float_info.max):  # a bool or huge int fails
                 raise ValueError(f"optimizer field {name!r} must be a finite number, not {value!r}")
         if not self.lr > 0:
             raise ValueError(f"optimizer field 'lr' must be > 0, not {self.lr!r}")

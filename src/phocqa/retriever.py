@@ -80,11 +80,10 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """The indices of the k highest scores, best first, equal scores in
     index order: the first k of a stable argsort of -scores."""
     negated = -scores
-    if k < len(negated):
-        kth = np.partition(negated, k - 1)[k - 1]
-        kept = np.flatnonzero(negated <= kth)  # k or more, ties at the k-th included
-        return kept[np.argsort(negated[kept], kind="stable")[:k]]
-    return np.argsort(negated, kind="stable")
+    k = min(k, len(negated))
+    kth = np.partition(negated, k - 1)[k - 1]
+    kept = np.flatnonzero(negated <= kth)  # k or more, ties at the k-th included
+    return kept[np.argsort(negated[kept], kind="stable")[:k]]
 
 
 def rank_collection(collection: Collection, query: list[np.ndarray], k: int) -> list[RetrievalResult]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Collection, Document, Question, phoc_table, query_tokens
+from .corpus import Collection, Question, build_collection
 from .stopwords import NORMALIZED_STOPWORDS
 
 _LETTERS = np.array(list(string.ascii_lowercase))
@@ -111,27 +111,9 @@ def generate(spec: GeneratorSpec) -> tuple[Collection, list[Question]]:
             words[start + offset] = marker
         questions_raw.append((f"q_{qi:04d}", markers, gold_id, (start, start + m - 1)))
 
-    rows: dict[str, int] = {}  # word -> its row of the shared table, in first-seen order
-    token_rows = {did: [rows.setdefault(t, len(rows)) for t in grids[did]] for did in doc_ids}
-    table = phoc_table(rows)
-    documents = {}
-    for did in doc_ids:
-        lines = np.array(word_lines[did], dtype=np.intp)
-        documents[did] = Document(did, tuple(grids[did]), lines, table, np.array(token_rows[did], dtype=np.intp))
-    collection = Collection(documents)
-
-    questions = []
-    for qid, markers, gold_id, span in questions_raw:
-        text = "what is the " + " ".join(markers)
-        doc = collection[gold_id]
-        questions.append(
-            Question(
-                question_id=qid,
-                text=text,
-                tokens=tuple(query_tokens(text)),
-                gold_doc_id=gold_id,
-                gold_word_span=span,
-                gold_line_span=(doc.line_of_word(span[0]), doc.line_of_word(span[1])),
-            )
-        )
+    collection = build_collection({did: (grids[did], word_lines[did], None) for did in doc_ids})
+    questions = [
+        Question.from_span(qid, "what is the " + " ".join(markers), collection[gold_id], span)
+        for qid, markers, gold_id, span in questions_raw
+    ]
     return collection, questions

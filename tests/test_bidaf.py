@@ -468,6 +468,21 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="checkpoint '__meta__' is not a JSON object"):
             bidaf.load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "meta, error, message",
+        [
+            (b"{nope", json.JSONDecodeError, "Expecting property name"),
+            (b'{"format": "\xff"}', ValueError, "'utf-8' codec can't decode byte 0xff"),
+        ],
+        ids=["not-json", "not-utf8"],
+    )
+    def test_unreadable_meta_names_the_file(self, tmp_path, meta, error, message):
+        path = tmp_path / "bad.ckpt"
+        with open(path, "wb") as f:
+            np.savez(f, __meta__=np.frombuffer(meta, dtype=np.uint8))
+        with pytest.raises(error, match=f"^{re.escape(str(path))}: checkpoint '__meta__': {message}"):
+            bidaf.load_checkpoint(path)
+
     def _rewrite(self, path, edit):
         with np.load(path) as data:
             arrays = {k: data[k] for k in data.files}
@@ -560,10 +575,11 @@ class TestCheckpoint:
             (lambda meta: meta["optimizer"].update(rho=1), r"optimizer field 'rho' must be in \(0, 1\), not 1"),
             (lambda meta: meta["optimizer"].update(eps=0), "optimizer field 'eps' must be > 0, not 0"),
             (lambda meta: meta.update(optimizer=[0.5]), "field 'optimizer' must be an object"),
+            (lambda meta: meta["optimizer"].update(lr=10**400), "optimizer field 'lr' must be a finite number"),
         ],
         ids=[
             "unknown-field", "no-config", "phoc-dim", "hidden-string", "max-span-zero", "hidden-huge", "mode",
-            "lr-string", "rho-inf", "eps-null", "lr-negative", "rho-one", "eps-zero", "optimizer-list",
+            "lr-string", "rho-inf", "eps-null", "lr-negative", "rho-one", "eps-zero", "optimizer-list", "lr-huge-int",
         ],
     )
     def test_rejects_bad_config(self, tiny_data, tmp_path, edit, name):

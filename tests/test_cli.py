@@ -71,6 +71,26 @@ class TestValidate:
         assert main(["validate", "--collection", str(p)]) == 1
         assert capsys.readouterr().err == f"invalid collection: {p}: JSON nested too deeply to parse\n"
 
+    def test_huge_integer_bbox_without_traceback(self, tmp_path, capsys):
+        doc = {
+            "doc_id": "a",
+            "lines": [{"line_index": 0, "start_word": 0, "end_word": 0}],
+            "words": [{"word_index": 0, "line_index": 0, "text": "x", "bbox": [0, 0, 10**400, 1]}],
+        }
+        p = tmp_path / "bbox.json"
+        p.write_text(json.dumps({"documents": [doc]}))
+        message = f"document 'a': word 0 field 'bbox' must be 4 finite numbers, not [0, 0, {10**400}, 1]\n"
+        assert main(["validate", "--collection", str(p)]) == 1
+        assert capsys.readouterr().err == f"invalid collection: {message}"
+        assert main(["retrieve", "x", "--collection", str(p)]) == 1
+        assert capsys.readouterr().err == f"error: {message}"
+
+    def test_malformed_json_names_the_file(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text('{"documents":\n')
+        assert main(["validate", "--collection", str(p)]) == 1
+        assert capsys.readouterr().err == f"invalid collection: {p}: Expecting value: line 2 column 1 (char 14)\n"
+
     def test_empty_file(self, tmp_path, capsys):
         p = tmp_path / "empty.json"
         p.write_text("")
@@ -324,6 +344,13 @@ class TestTrainAnswerEval:
         rc = main(["eval", "--collection", str(corpus_dir / "collection.json"), "--questions", str(path)])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_eval_questions_not_json_names_the_file(self, corpus_dir, tmp_path, capsys):
+        path = tmp_path / "questions.json"
+        path.write_text('{"questions":\n')
+        rc = main(["eval", "--collection", str(corpus_dir / "collection.json"), "--questions", str(path)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {path}: Expecting value: line 2 column 1 (char 14)\n"
 
     def test_train_rejects_zero_hidden_without_traceback(self, corpus_dir, tmp_path, capsys):
         rc = main(

@@ -109,6 +109,7 @@ MALFORMED = {
     "bbox-nan": (set_field(["documents", 0, "words", 1, "bbox"], [1, float("nan"), 30, 10]), r"document 'a': word 1 field 'bbox'"),
     "bbox-two-numbers": (set_field(["documents", 0, "words", 1, "bbox"], [1, 2]), r"document 'a': word 1 field 'bbox'"),
     "bbox-string": (set_field(["documents", 0, "words", 0, "bbox"], [1, 2, "3", 4]), r"document 'a': word 0 field 'bbox'"),
+    "bbox-huge-int": (set_field(["documents", 0, "words", 1, "bbox"], [1, 10**400, 30, 10]), r"document 'a': word 1 field 'bbox' must be 4 finite numbers"),
 }
 
 
@@ -195,7 +196,21 @@ class TestLoadCollection:
     def test_malformed_json(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{nope")
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(json.JSONDecodeError, match=f"^{re.escape(str(p))}: Expecting property name"):
+            load_collection(p)
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b'{"documents": [' + b"9" * 5000 + b"]}", "Exceeds the limit"),
+            ('{"documents": ["caf\xe9"]}'.encode("latin-1"), "'utf-8' codec can't decode byte 0xe9"),
+        ],
+        ids=["integer-too-long", "not-utf8"],
+    )
+    def test_unparsable_file_named(self, tmp_path, raw, message):
+        p = tmp_path / "bad.json"
+        p.write_bytes(raw)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: {message}"):
             load_collection(p)
 
     def test_write_collection_bytes(self, tmp_path):
@@ -222,6 +237,15 @@ class TestLoadCollection:
             assert doc.word_lines.tobytes() == other.word_lines.tobytes()
             for a, b in zip(doc.words, other.words):
                 np.testing.assert_array_equal(a.phoc, b.phoc)
+            # the one builder makes the same shared table and token map from the file
+            assert other.table is reloaded[sorted(reloaded.documents)[0]].table
+            for column in ("table", "token_row"):
+                a, b = getattr(doc, column), getattr(other, column)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), column
+        for name in ("types", "counts", "token_type", "offsets"):
+            a, b = getattr(collection.index, name), getattr(reloaded.index, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert reloaded.index.doc_ids == collection.index.doc_ids
         assert load_questions(qpath, reloaded) == questions
 
 
@@ -379,6 +403,13 @@ class TestLoadQuestions:
         mutate(data)
         with pytest.raises(ValueError, match=message):
             load_questions(write_json(tmp_path, data, "q.json"), collection)
+
+    def test_malformed_json_names_the_file(self, tmp_path):
+        collection = load_collection(write_json(tmp_path, VALID))
+        path = tmp_path / "q.json"
+        path.write_text('{"questions": [\n')
+        with pytest.raises(json.JSONDecodeError, match=f"^{re.escape(str(path))}: Expecting value: line 2 column 1"):
+            load_questions(path, collection)
 
     def test_nesting_too_deep_names_the_file(self, tmp_path):
         collection = load_collection(write_json(tmp_path, VALID))

@@ -4,7 +4,9 @@ Each test hashes with SHA-256 one output of the attention path on a fixed
 generated corpus, clean and with PHOC bits flipped at rate 0.2, and
 compares it with a digest recorded when the test was written: every
 question's full ranking (scores as float.hex), the answer_attention
-prediction for each of its top 5 documents, and the evaluate report JSON.
+prediction for each of its top 5 documents, the evaluate report JSON, and
+the collection itself: each document's PHOC table, token map and line
+column, the packed index arrays and every Question.
 These outputs come from integer popcounts, correctly rounded square roots
 and divisions, and Python arithmetic, so their bytes do not depend on the
 machine; the BiDAF path goes through BLAS and is not pinned here.
@@ -34,6 +36,8 @@ DIGESTS = {
     ("top5_answers", 0.2): "2b4e6c4302e61f918f6e34debcd74a7358c0ce2df2b0ba8838304c3ffa4c9b3f",
     ("eval_report", 0.0): "5e7c53f2f3db11bd72dc79f424f71f522fbbab24d3d8de7012e100dc72d056a8",
     ("eval_report", 0.2): "48151fea40503f12228e31f2e58a95508132b885464625a18f34692012c19716",
+    ("collection", 0.0): "d38c5c98f5a5c06e41ce0cd6c252ef4882dbddc170c2d8d06c5e806c648edadb",
+    ("collection", 0.2): "ae8faccd7712a93d37e0c37fd5d53ff088f5dfe91a722d8a5c503abdc8cd99ab",
 }
 
 
@@ -68,7 +72,30 @@ def eval_report(flip_rate: float) -> str:
     return evaluate(collection, questions, answer_attention, k=5, meta={"flip_rate": flip_rate}).to_json()
 
 
-OUTPUTS = {"rankings": rankings, "top5_answers": top5_answers, "eval_report": eval_report}
+def built_collection(flip_rate: float) -> str:
+    """Packed rows as hex bytes, which do not depend on byte order, and
+    integer columns as lists, which do not depend on the width of intp."""
+    collection, questions = corpus(flip_rate)
+    lines = []
+    for doc in collection.ordered():
+        lines.append(repr((doc.doc_id, doc.transcriptions, doc.word_lines.tolist(), doc.token_row.tolist())))
+        lines.append(doc.table.tobytes().hex())
+    index = collection.index
+    token_type = None if index.token_type is None else index.token_type.tolist()
+    lines.append(repr((index.counts.tolist(), token_type, index.offsets.tolist(), index.doc_ids)))
+    lines.append(index.types.tobytes().hex())
+    lines.extend(
+        repr((q.question_id, q.text, q.tokens, q.gold_doc_id, q.gold_word_span, q.gold_line_span)) for q in questions
+    )
+    return "\n".join(lines)
+
+
+OUTPUTS = {
+    "rankings": rankings,
+    "top5_answers": top5_answers,
+    "eval_report": eval_report,
+    "collection": built_collection,
+}
 
 
 @pytest.mark.parametrize("output, flip_rate", list(DIGESTS))

@@ -316,7 +316,7 @@ class TestAdadelta:
         assert state.eg2["p"][0] == pytest.approx(4.0, rel=0.1)
 
     @pytest.mark.parametrize("name", ["lr", "rho", "eps"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True, pytest.param(10**400, id="huge-int")])
     def test_rejects_setting_that_is_not_a_finite_number(self, name, value):
         with pytest.raises(ValueError, match=f"optimizer field '{name}' must be a finite number"):
             nn.AdadeltaState(**{name: value})
