@@ -4,9 +4,13 @@ The context encoder sees each document word's PHOC, in line mode with a
 sinusoidal encoding of its line index appended.  Context and question go
 through separate BLSTM encoders, context positions attend over the question,
 the concatenated representations pass a two-stage modeling BLSTM, and two
-heads produce start and end logits (per line after summing word outputs by
-line membership, or per word).  Confidence is the sum of the pre-softmax
-logits at the predicted span.
+linear heads produce start and end logits (per line after summing word
+outputs by line membership, or per word).  Training minimizes span_loss,
+the sum of the two heads' negative log-likelihoods of the gold span.
+Confidence is the sum of the pre-softmax logits at the predicted span.
+The loss tape uses every operation of phocqa.neural: dropout,
+blstm_matrix, c2q_attention, concat, matmul (line mode's per-line sums),
+linear and span_loss.
 
 parameter_layout is the one list of the model's parameters: each name,
 shape and initialization fan-in.  A model is a dict of named Tensors that
@@ -31,15 +35,14 @@ from .neural import (
     AdadeltaState,
     Tensor,
     adadelta_step,
-    add,
     backward,
     blstm_matrix,
     c2q_attention,
     concat,
-    cross_entropy,
     dropout,
+    linear,
     matmul,
-    softmax,
+    span_loss,
     zero_grads,
 )
 from .phoc import PHOC_DIM
@@ -77,7 +80,7 @@ class BidafConfig:
         return self.phoc_dim + (self.pos_dim if self.mode == "line" else 0)
 
 
-def line_positional_encoding(line_index: int, dim: int = 30) -> np.ndarray:
+def line_positional_encoding(line_index: int, dim: int) -> np.ndarray:
     """Sinusoidal encoding: pe[2i] = sin(pos/10000^(2i/dim)), pe[2i+1] = cos(...)."""
     if dim % 2 != 0:
         raise ValueError("positional encoding dimension must be even")
@@ -192,9 +195,9 @@ def forward(
     else:
         reps = M
 
-    start_logits = add(matmul(reps, p["w_start"]), p["b_start"])
+    start_logits = linear(reps, p["w_start"], p["b_start"])
     end_out = blstm_matrix(drop(reps), *model.blstm("end_blstm"))
-    end_logits = add(matmul(end_out, p["w_end"]), p["b_end"])
+    end_logits = linear(end_out, p["w_end"], p["b_end"])
     return start_logits, end_logits
 
 
@@ -251,10 +254,7 @@ def example_loss(
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     start_logits, end_logits = forward(document, question_phocs, model, training=training, rng=rng)
-    return add(
-        cross_entropy(softmax(start_logits), gold[0]),
-        cross_entropy(softmax(end_logits), gold[1]),
-    )
+    return span_loss(start_logits, end_logits, gold)
 
 
 def train(

@@ -57,8 +57,9 @@ class Document:
     """Token i has transcription transcriptions[i], lies on line
     word_lines[i] and has the PHOC in row token_row[i] of `table`.
 
-    The constructor checks everything once and makes the three arrays
-    read-only; a malformed document raises ValueError naming it.
+    The constructor checks everything once, stores each bbox as a tuple and
+    makes the three arrays read-only; a malformed document raises
+    ValueError naming it.
     """
 
     doc_id: str
@@ -70,6 +71,8 @@ class Document:
 
     def __post_init__(self) -> None:
         where = f"document {self.doc_id!r}"
+        if not isinstance(self.doc_id, str):
+            raise ValueError(f"{where}: doc_id must be a string")
         n, word_lines, table, token_row = len(self.transcriptions), self.word_lines, self.table, self.token_row
         if n == 0:
             raise ValueError(f"{where} is empty")
@@ -96,8 +99,19 @@ class Document:
                 f"{where}: word {i} has line_index {word_lines[i]} after {word_lines[i - 1]} "
                 "(line indices must be 0-based and consecutive)"
             )
-        if self.bboxes is not None and len(self.bboxes) != n:
-            raise ValueError(f"{where}: {len(self.bboxes)} bboxes for {n} words")
+        bboxes = self.bboxes
+        if bboxes is not None:
+            if not isinstance(bboxes, tuple):
+                raise ValueError(f"{where}: bboxes must be a tuple or None, not {bboxes!r}")
+            if len(bboxes) != n:
+                raise ValueError(f"{where}: {len(bboxes)} bboxes for {n} words")
+            for pos, bbox in enumerate(bboxes):
+                if not (bbox is None or (
+                    isinstance(bbox, (tuple, list)) and len(bbox) == 4
+                    and all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in bbox)  # a huge int fails
+                )):
+                    raise ValueError(f"{where}: word {pos} field 'bbox' must be 4 finite numbers, not {bbox!r}")
+            object.__setattr__(self, "bboxes", tuple(None if bbox is None else tuple(bbox) for bbox in bboxes))
         word_lines.flags.writeable = False
         table.flags.writeable = False
         token_row.flags.writeable = False
@@ -340,15 +354,6 @@ def _line_spans(doc: Document) -> list[tuple[int, int, int]]:
     return [(i, start, end - 1) for i, (start, end) in enumerate(zip(starts, starts[1:] + [len(doc)]))]
 
 
-def _bbox(raw, where: str, pos: int) -> BBox:
-    if not (
-        isinstance(raw, list) and len(raw) == 4
-        and all(type(x) in (int, float) and abs(x) <= sys.float_info.max for x in raw)  # a huge int fails
-    ):
-        raise ValueError(f"{where}: word {pos} field 'bbox' must be 4 finite numbers, not {raw!r}")
-    return tuple(raw)
-
-
 def _parse_document(entry, position: int, texts: dict[str, str]):
     """The doc_id of one JSON entry, its build_collection columns and its
     file's sorted 'lines', which load_collection checks.  `texts` maps each
@@ -378,10 +383,9 @@ def _parse_document(entry, position: int, texts: dict[str, str]):
                 if not isinstance(raw, str):
                     raise ValueError(f"{where}: word {pos} field 'text' must be a string, not {raw!r}") from None
                 text = texts[raw] = normalize_token(raw)
-            bbox = w.get("bbox")
             transcriptions.append(text)
             word_lines.append(line)
-            bboxes.append(None if bbox is None else _bbox(bbox, where, pos))
+            bboxes.append(w.get("bbox"))
     except KeyError as e:
         raise ValueError(f"{where}: word {pos} has no field {e.args[0]!r}") from None
     except TypeError:
@@ -390,13 +394,13 @@ def _parse_document(entry, position: int, texts: dict[str, str]):
     return doc_id, (tuple(transcriptions), np.array(word_lines, dtype=np.intp), boxed), lines
 
 
-def parse_json(data: str | bytes, source) -> object:
-    """json.loads of `data`, bytes decoded as UTF-8, but any failure names
-    `source` first: a syntax error stays a json.JSONDecodeError, and bytes
-    that are not UTF-8, an integer too long to convert or a nesting too deep
-    for the parser raise ValueError."""
+def parse_json(data: bytes, source) -> object:
+    """json.loads of `data` decoded as UTF-8, but any failure names `source`
+    first: a syntax error stays a json.JSONDecodeError, and bytes that are
+    not UTF-8, an integer too long to convert or a nesting too deep for the
+    parser raise ValueError."""
     try:
-        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+        return json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as e:
         raise json.JSONDecodeError(f"{source}: {e.msg}", e.doc, e.pos) from None
     except RecursionError:

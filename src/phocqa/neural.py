@@ -3,13 +3,13 @@ numpy arrays, with exactly the operations the span-prediction network needs,
 plus the ADADELTA update.  The finite-difference gradient checker that
 verifies them lives with the tests (tests/oracles.py).
 
-The tape's operations are matmul, add (a bias may be added to every row or
-entry), column concat, softmax, cross-entropy and three fused ones, each a
-single node with a hand-written backward pass: dropout, one LSTM direction
-(lstm_sequence, over a fused (W, b) pair of parameter Tensors, with
-backpropagation through time) and context-to-query attention.  A BLSTM and
-the attention therefore add the same few nodes to the tape whatever the
-sequence lengths.
+The tape's operations are matrix-times-matrix matmul, column concat and
+five fused ones, each a single node with a hand-written backward pass:
+dropout, one LSTM direction (lstm_sequence, over a fused (W, b) pair of
+parameter Tensors, with backpropagation through time), context-to-query
+attention, a linear head (one logit per row) and the span loss (the sum of
+two clamped negative log-likelihoods).  The model therefore adds the same
+number of nodes to the tape whatever the sequence lengths.
 
 Everything runs in double precision; determinism requires single-threaded
 use and explicit seeded Generators for dropout and initialization.
@@ -44,13 +44,7 @@ class Tensor:
     def shape(self):
         return self.values.shape
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def _accum(self, g: np.ndarray) -> None:
-        extra = g.ndim - self.values.ndim
-        if extra > 0:  # a bias broadcast over leading axes
-            g = g.sum(axis=tuple(range(extra)))
         if self.grad is None:
             # copy: g may alias the child's gradient buffer
             self.grad = np.array(g, dtype=np.float64)
@@ -58,34 +52,37 @@ class Tensor:
             self.grad += g
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.values + b.values, (a, b))
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(g)
-        if b.requires_grad:
-            b._accum(g)
-
-    out._backward = bw
-    return out
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix times matrix, or matrix times vector; other shapes raise ValueError."""
+    """Matrix times matrix; other shapes raise ValueError."""
     av, bv = a.values, b.values
-    if av.ndim != 2 or bv.ndim not in (1, 2):
-        raise ValueError(f"matmul takes a matrix times a matrix or a vector, not {av.shape} @ {bv.shape}")
+    if av.ndim != 2 or bv.ndim != 2:
+        raise ValueError(f"matmul takes a matrix times a matrix, not {av.shape} @ {bv.shape}")
     out = Tensor(av @ bv, (a, b))
 
     def bw(g):
         if a.requires_grad:
-            a._accum(g @ bv.T if bv.ndim == 2 else np.outer(g, bv))
+            a._accum(g @ bv.T)
         if b.requires_grad:
             b._accum(av.T @ g)
 
     out._backward = bw
     return out
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for a (T, d) matrix x, a (d,) weight w and a scalar bias b:
+    one logit per row of x, as one tape node."""
+    xv, wv = x.values, w.values
+
+    def bw(g):
+        if x.requires_grad:
+            x._accum(np.outer(g, wv))
+        if w.requires_grad:
+            w._accum(xv.T @ g)
+        if b.requires_grad:
+            b._accum(g.sum(axis=0))
+
+    return Tensor(xv @ wv + b.values, (x, w, b), bw)
 
 
 def concat(tensors: list[Tensor]) -> Tensor:
@@ -110,31 +107,22 @@ def _softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     return p * (g - np.sum(g * p, axis=-1, keepdims=True))
 
 
-def softmax(logits: Tensor) -> Tensor:
-    """Numerically stable softmax over the last axis."""
-    p = _softmax(logits.values)
+def span_loss(start_logits: Tensor, end_logits: Tensor, gold: tuple[int, int]) -> Tensor:
+    """-log p_start[gold[0]] - log p_end[gold[1]], each p the softmax of its
+    logits and each probability clamped at 1e-12 from below, as one tape
+    node.  A head whose gold probability is below the clamp gets no
+    gradient."""
+    heads = [(logits, target, _softmax(logits.values)) for logits, target in zip((start_logits, end_logits), gold)]
+    clamped = [max(float(p[target]), 1e-12) for _, target, p in heads]
 
     def bw(g):
-        if logits.requires_grad:
-            logits._accum(_softmax_grad(p, g))
+        for (logits, target, p), clamped_p in zip(heads, clamped):
+            if logits.requires_grad and p[target] >= 1e-12:
+                onehot = np.zeros_like(p)
+                onehot[target] = -float(g) / clamped_p
+                logits._accum(_softmax_grad(p, onehot))
 
-    return Tensor(p, (logits,), bw)
-
-
-def cross_entropy(probs: Tensor, target: int) -> Tensor:
-    """-log p[target], with the probability clamped at 1e-12 from below."""
-    p = float(probs.values[target])
-    clamped = max(p, 1e-12)
-    out = Tensor(-math.log(clamped), (probs,))
-
-    def bw(g):
-        if probs.requires_grad and p >= 1e-12:
-            full = np.zeros_like(probs.values)
-            full[target] = -float(g) / clamped
-            probs._accum(full)
-
-    out._backward = bw
-    return out
+    return Tensor(-math.log(clamped[0]) + -math.log(clamped[1]), (start_logits, end_logits), bw)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
@@ -381,4 +369,4 @@ def adadelta_step(params: dict[str, Tensor], state: AdadeltaState) -> None:
 
 def zero_grads(params: dict[str, Tensor]) -> None:
     for p in params.values():
-        p.zero_grad()
+        p.grad = None

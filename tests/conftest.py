@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from phocqa.corpus import Collection, Document, PackedIndex, phoc_table
-from phocqa.neural import Tensor
+from phocqa.neural import Tensor, linear, span_loss
 from phocqa.retriever import rank_collection, segment_maxima, similarities
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
@@ -46,6 +46,20 @@ def draw_lstm(input_dim: int, hidden: int, rng: np.random.Generator) -> tuple[Te
 def draw_blstm(input_dim: int, hidden: int, rng: np.random.Generator):
     """The forward and backward (W, b) pairs of a BLSTM, forward drawn first."""
     return draw_lstm(input_dim, hidden, rng), draw_lstm(input_dim, hidden, rng)
+
+
+def draw_heads(dim: int, rng: np.random.Generator, requires_grad: bool = True) -> dict[str, Tensor]:
+    """The weights and scalar biases of a start and an end linear head over
+    `dim` features, drawn from a standard normal."""
+    return {
+        name: Tensor(rng.standard_normal(shape), requires_grad=requires_grad)
+        for name, shape in (("w_start", (dim,)), ("b_start", ()), ("w_end", (dim,)), ("b_end", ()))
+    }
+
+
+def heads_loss(x: Tensor, heads: dict[str, Tensor], gold: tuple[int, int]) -> Tensor:
+    """The span loss of the two linear heads of draw_heads over the rows of x."""
+    return span_loss(linear(x, heads["w_start"], heads["b_start"]), linear(x, heads["w_end"], heads["b_end"]), gold)
 
 
 def tape_nodes(out: Tensor) -> int:

@@ -4,8 +4,8 @@ These are written against the definitions directly and deliberately share
 no code with the library: occupancy-rule PHOC bits, nested-loop max/mean
 document scoring, two-line snippet windows, set-arithmetic DIS, per-word
 PHOC bit flips, the unblocked per-tensor ADADELTA update, the double-loop
-constrained span argmax and the looped context-to-query attention
-gradient.  The one exception is the finite-difference gradient checker at
+constrained span argmax, the looped context-to-query attention gradient
+and the looped linear head and span loss.  The one exception is the finite-difference gradient checker at
 the end: it takes the analytic gradients from the library's tape and
 compares them against central differences of the loss.
 """
@@ -159,6 +159,32 @@ def c2q_gradient_reference(H, U, ws, G) -> tuple[np.ndarray, np.ndarray, np.ndar
                 gws[d + k] += gs * U[j, k]
                 gws[2 * d + k] += gs * H[t, k] * U[j, k]
     return gH, gU, gws
+
+
+def linear_reference(x, w, b, g) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """out_t = sum_k x_tk w_k + b for a (T, d) x, a (d,) w and a scalar b,
+    and the gradients at x, w and b of sum(g * out), one scalar at a time."""
+    T, d = x.shape
+    out = np.array([sum(x[t, k] * w[k] for k in range(d)) + b for t in range(T)])
+    gx = np.array([[g[t] * w[k] for k in range(d)] for t in range(T)])
+    gw = np.array([sum(x[t, k] * g[t] for t in range(T)) for k in range(d)])
+    return out, gx, gw, sum(g[t] for t in range(T))
+
+
+def span_loss_reference(start_logits, end_logits, gold) -> tuple[float, np.ndarray, np.ndarray]:
+    """-log max(p_start[gold[0]], 1e-12) - log max(p_end[gold[1]], 1e-12),
+    each p the softmax of its logits, and the gradient at each head's
+    logits: p - onehot(target), or zero where p[target] is below the
+    clamp, one scalar at a time."""
+    loss = 0.0
+    grads = []
+    for z, target in zip((start_logits, end_logits), gold):
+        e = [math.exp(v - max(z)) for v in z]
+        p = [v / sum(e) for v in e]
+        loss += -math.log(max(p[target], 1e-12))
+        below = p[target] < 1e-12
+        grads.append(np.array([0.0 if below else p[i] - (i == target) for i in range(len(z))]))
+    return loss, grads[0], grads[1]
 
 
 def finite_difference_check(

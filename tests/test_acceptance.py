@@ -20,7 +20,7 @@ from phocqa.retriever import rank_collection
 from phocqa.snippet_qa import answer_attention
 from phocqa.synth import GeneratorSpec, generate
 
-from conftest import draw_blstm, make_collection, make_document, random_word, score_document
+from conftest import draw_blstm, draw_heads, heads_loss, make_collection, make_document, random_word, score_document
 from oracles import dis_reference, doc_score_reference, finite_difference_check, phoc_reference
 
 
@@ -134,41 +134,32 @@ def test_gradient_verification():
     for seed in range(10):
         rng = np.random.default_rng(seed)
 
-        # dense + softmax/xent
-        W = nn.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        b = nn.Tensor(rng.standard_normal(3), requires_grad=True)
-        x = rng.standard_normal(4)
-        assert (
-            finite_difference_check(
-                lambda: nn.cross_entropy(nn.softmax(nn.add(nn.matmul(W, nn.Tensor(x)), b)), 1),
-                {"W": W, "b": b},
-            )
-            <= 1e-4
-        )
+        # linear heads + span loss
+        x = nn.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        heads = draw_heads(4, rng)
+        assert finite_difference_check(lambda: heads_loss(x, heads, (1, 2)), {"x": x, **heads}) <= 1e-4
 
         # blstm
         fwd, bwd = draw_blstm(3, 3, rng)
         xs = rng.standard_normal((4, 3))
-        w = nn.Tensor(rng.standard_normal(6), requires_grad=True)
+        heads = draw_heads(6, rng)
 
         def blstm_loss():
-            out = nn.blstm_matrix(nn.Tensor(xs), fwd, bwd)
-            return nn.cross_entropy(nn.softmax(nn.matmul(out, w)), 2)
+            return heads_loss(nn.blstm_matrix(nn.Tensor(xs), fwd, bwd), heads, (2, 3))
 
-        params = {"fW": fwd[0], "fb": fwd[1], "bW": bwd[0], "bb": bwd[1], "w": w}
+        params = {"fW": fwd[0], "fb": fwd[1], "bW": bwd[0], "bb": bwd[1], **heads}
         assert finite_difference_check(blstm_loss, params) <= 1e-4
 
         # attention
         Hv = rng.standard_normal((4, 4))
         Uv = rng.standard_normal((2, 4))
         ws = nn.Tensor(rng.standard_normal(12), requires_grad=True)
-        wo = nn.Tensor(rng.standard_normal(4), requires_grad=True)
+        heads = draw_heads(4, rng)
 
         def att_loss():
-            att = nn.c2q_attention(nn.Tensor(Hv), nn.Tensor(Uv), ws)
-            return nn.cross_entropy(nn.softmax(nn.matmul(att, wo)), 0)
+            return heads_loss(nn.c2q_attention(nn.Tensor(Hv), nn.Tensor(Uv), ws), heads, (0, 3))
 
-        assert finite_difference_check(att_loss, {"ws": ws, "wo": wo}) <= 1e-4
+        assert finite_difference_check(att_loss, {"ws": ws, **heads}) <= 1e-4
 
     # full BiDAF loss graph, both modes
     collection, questions = generate(

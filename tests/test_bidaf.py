@@ -352,12 +352,13 @@ class TestFullGraphGradient:
 
 
 class TestTape:
-    @pytest.mark.parametrize("mode, nodes", [("line", 60), ("word", 58)])
+    @pytest.mark.parametrize("mode, nodes", [("line", 54), ("word", 52)])
     def test_loss_tape_size_independent_of_lengths(self, mode, nodes, rng):
         # 2 inputs, 5 dropouts, 5 BLSTMs of 7 (4 parameters, 2 directions and
         # their concat), att_ws and the attention, the concat of H and the
-        # attention, 8 for the two heads and 5 for the loss; line mode adds
-        # the aggregation matrix and its product
+        # attention, 6 for the two heads (weight, bias and linear each) and 1
+        # for the span loss; line mode adds the aggregation matrix and its
+        # product
         model = BidafModel(BidafConfig(hidden=3, pos_dim=4, dropout_rate=0.2, mode=mode), seed=1)
         sizes = set()
         for num_lines, words_per_line, question_length in ((1, 1, 1), (3, 4, 2), (9, 7, 6)):

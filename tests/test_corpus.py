@@ -574,6 +574,39 @@ class TestCorruptCollection:
             replace(doc, table=rows)
 
 
+class TestDocument:
+    """The constructor rejects what load_collection rejects, naming the
+    document and, for a bbox, the word."""
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"bboxes": (("x", 1, 2, 3), (math.nan, 0, 0, 0))}, r"document 'a': word 0 field 'bbox' must be 4 finite numbers, not \('x', 1, 2, 3\)$"),
+            ({"bboxes": (None, (math.nan, 0, 0, 0))}, r"document 'a': word 1 field 'bbox' must be 4 finite numbers, not \(nan, 0, 0, 0\)$"),
+            ({"bboxes": (None, [0, 0, 10**400, 1])}, r"document 'a': word 1 field 'bbox' must be 4 finite numbers"),
+            ({"bboxes": ((0, 0, True, 1), None)}, r"document 'a': word 0 field 'bbox' must be 4 finite numbers"),
+            ({"bboxes": ((0, 0, 1), None)}, r"document 'a': word 0 field 'bbox' must be 4 finite numbers"),
+            ({"bboxes": "z"}, r"document 'a': bboxes must be a tuple or None, not 'z'$"),
+            ({"bboxes": ((0, 0, 1, 1),)}, r"document 'a': 1 bboxes for 2 words$"),
+            ({"doc_id": 5}, r"document 5: doc_id must be a string$"),
+        ],
+        ids=["bbox-string", "bbox-nan", "bbox-huge-int", "bbox-bool", "bbox-three-numbers", "bboxes-string", "bboxes-short", "doc-id-int"],
+    )
+    def test_rejects_what_the_loader_rejects(self, fields, message):
+        doc = make_collection({"a": [["one", "two"]]})["a"]
+        with pytest.raises(ValueError, match=message):
+            replace(doc, **fields)
+
+    def test_bboxes_write_and_load_back(self, tmp_path):
+        # int, float and missing bboxes, given as lists or tuples, come back as tuples of the same numbers
+        doc = replace(make_collection({"a": [["one", "two"], ["three"]]})["a"], bboxes=((0, 1, 2, 3), None, [0.5, 1.25, 2, 1e300]))
+        assert doc.bboxes == ((0, 1, 2, 3), None, (0.5, 1.25, 2, 1e300))
+        write_collection(Collection({"a": doc}), tmp_path / "c.json")
+        loaded = load_collection(tmp_path / "c.json")["a"]
+        assert loaded.bboxes == doc.bboxes
+        assert [[type(x) for x in b] for b in loaded.bboxes if b] == [[int] * 4, [float, float, int, float]]
+
+
 def test_collection_key_must_be_doc_id():
     doc = make_collection({"doc_0003": [["one"]]})["doc_0003"]
     with pytest.raises(ValueError, match="collection key 'zdoc_0003' holds document 'doc_0003'"):

@@ -5,8 +5,14 @@ import pytest
 
 from phocqa import neural as nn
 
-from conftest import draw_blstm, draw_lstm, tape_nodes
-from oracles import adadelta_reference, c2q_gradient_reference, finite_difference_check
+from conftest import draw_blstm, draw_heads, draw_lstm, heads_loss, tape_nodes
+from oracles import (
+    adadelta_reference,
+    c2q_gradient_reference,
+    finite_difference_check,
+    linear_reference,
+    span_loss_reference,
+)
 
 
 def sum_of_squares(x: nn.Tensor) -> nn.Tensor:
@@ -20,41 +26,60 @@ def sum_of_squares(x: nn.Tensor) -> nn.Tensor:
     return nn.Tensor(np.sum(x.values * x.values), (x,), bw)
 
 
-def dense(x, W, b):
-    return nn.add(nn.matmul(W, x), b)
-
-
 class TestDense:
-    def test_identity(self):
-        x = nn.Tensor([1.0, -2.0, 3.0])
-        out = dense(x, nn.Tensor(np.eye(3)), nn.Tensor(np.zeros(3)))
-        np.testing.assert_array_equal(out.values, x.values)
+    """linear: a dense layer with one output per row, x @ w + b."""
+
+    def test_identity(self, rng):
+        # a unit weight reads one column of x
+        x = nn.Tensor(rng.standard_normal((4, 3)))
+        out = nn.linear(x, nn.Tensor([0.0, 1.0, 0.0]), nn.Tensor(0.0))
+        np.testing.assert_array_equal(out.values, x.values[:, 1])
 
     def test_zero_weights_give_bias(self):
-        out = dense(nn.Tensor([1.0, 2.0]), nn.Tensor(np.zeros((3, 2))), nn.Tensor([4.0, 5.0, 6.0]))
-        np.testing.assert_array_equal(out.values, [4.0, 5.0, 6.0])
+        out = nn.linear(nn.Tensor(np.ones((3, 2))), nn.Tensor(np.zeros(2)), nn.Tensor(4.0))
+        np.testing.assert_array_equal(out.values, [4.0, 4.0, 4.0])
 
     def test_random_case_matches_manual(self, rng):
-        W = rng.standard_normal((3, 4))
-        x = rng.standard_normal(4)
-        b = rng.standard_normal(3)
-        out = dense(nn.Tensor(x), nn.Tensor(W), nn.Tensor(b))
-        np.testing.assert_allclose(out.values, W @ x + b, atol=1e-15)
+        x = rng.standard_normal((3, 4))
+        w = rng.standard_normal(4)
+        b = rng.standard_normal()
+        out = nn.linear(nn.Tensor(x), nn.Tensor(w), nn.Tensor(b))
+        np.testing.assert_allclose(out.values, x @ w + b, atol=1e-15)
 
     def test_bias_gradient_is_upstream(self, rng):
-        W = nn.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        b = nn.Tensor(rng.standard_normal(3), requires_grad=True)
-        out = dense(nn.Tensor(rng.standard_normal(4)), W, b)
-        # a (1,) output, so backward seeds it with [1.0]
-        nn.backward(nn.matmul(nn.Tensor([[1.0, 2.0, 3.0]]), out))
-        np.testing.assert_allclose(b.grad, [1.0, 2.0, 3.0])
+        w = nn.Tensor(rng.standard_normal(4), requires_grad=True)
+        b = nn.Tensor(rng.standard_normal(), requires_grad=True)
+        out = nn.linear(nn.Tensor(rng.standard_normal((3, 4))), w, b)
+        # the upstream gradient of sum_of_squares is 2 * out, summed over the rows
+        nn.backward(sum_of_squares(out))
+        assert b.grad.shape == ()
+        assert b.grad == pytest.approx(2.0 * out.values.sum(), rel=1e-15)
+
+    @pytest.mark.parametrize("T, d", [(1, 1), (1, 5), (4, 1), (3, 4), (9, 6), (17, 3)])
+    def test_values_and_gradients_match_scalar_loops(self, T, d):
+        rng = np.random.default_rng(T * 10 + d)
+        x, w, b = (nn.Tensor(rng.standard_normal(shape), requires_grad=True) for shape in ((T, d), (d,), ()))
+        out = nn.linear(x, w, b)
+        nn.backward(sum_of_squares(out))
+        want, *want_grads = linear_reference(x.values, w.values, float(b.values), 2.0 * out.values)
+        np.testing.assert_allclose(out.values, want, rtol=0, atol=1e-12)
+        for got, expected in zip((x.grad, w.grad, b.grad), want_grads):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_one_tape_node(self, rng):
+        sizes = {tape_nodes(nn.linear(nn.Tensor(np.ones((T, 3))), nn.Tensor(np.ones(3)), nn.Tensor(0.0))) for T in (1, 7)}
+        assert sizes == {4}  # the three inputs and the head
 
 
 class TestMatmul:
     @pytest.mark.parametrize("a, b", [((3,), (3, 2)), ((3,), (3,)), ((2, 3, 4), (4,)), ((2, 3), ())])
     def test_rejects_shapes_other_than_matrix_times_matrix_or_vector(self, a, b):
-        with pytest.raises(ValueError, match="matmul takes a matrix times a matrix or a vector"):
+        with pytest.raises(ValueError, match="matmul takes a matrix times a matrix"):
             nn.matmul(nn.Tensor(np.ones(a)), nn.Tensor(np.ones(b)))
+
+    def test_rejects_matrix_times_vector(self):
+        with pytest.raises(ValueError, match=r"matmul takes a matrix times a matrix, not \(3, 2\) @ \(2,\)"):
+            nn.matmul(nn.Tensor(np.ones((3, 2))), nn.Tensor(np.ones(2)))
 
 
 def scalar_lstm(W: np.ndarray, b: np.ndarray, xs: np.ndarray, reverse: bool) -> np.ndarray:
@@ -144,54 +169,89 @@ class TestBlstm:
 
 class TestSoftmax:
     def test_symmetric_pair(self):
-        np.testing.assert_allclose(nn.softmax(nn.Tensor([0.0, 0.0])).values, [0.5, 0.5])
+        np.testing.assert_allclose(nn._softmax(np.array([0.0, 0.0])), [0.5, 0.5])
 
     def test_constant_vector_uniform(self):
-        np.testing.assert_allclose(nn.softmax(nn.Tensor([3.0, 3.0, 3.0])).values, np.full(3, 1 / 3))
+        np.testing.assert_allclose(nn._softmax(np.array([3.0, 3.0, 3.0])), np.full(3, 1 / 3))
 
     def test_shift_invariance(self, rng):
         z = rng.standard_normal(7)
-        a = nn.softmax(nn.Tensor(z)).values
-        b = nn.softmax(nn.Tensor(z + 123.456)).values
+        a = nn._softmax(z)
+        b = nn._softmax(z + 123.456)
         np.testing.assert_allclose(a, b, atol=1e-12)
         assert np.argmax(a) == np.argmax(b)
 
     def test_sums_to_one(self, rng):
         for _ in range(20):
-            p = nn.softmax(nn.Tensor(rng.standard_normal(9) * 10)).values
+            p = nn._softmax(rng.standard_normal(9) * 10)
             assert abs(p.sum() - 1.0) < 1e-9
             assert (p > 0).all()
 
     def test_large_logits_stable(self):
-        p = nn.softmax(nn.Tensor([1000.0, 999.0])).values
+        p = nn._softmax(np.array([1000.0, 999.0]))
         assert np.isfinite(p).all()
 
     def test_rows_equal_vectors_bit_exact(self, rng):
         z = rng.standard_normal((4, 6)) * 5
-        rows = nn.softmax(nn.Tensor(z)).values
+        rows = nn._softmax(z)
         for r in range(4):
-            np.testing.assert_array_equal(rows[r], nn.softmax(nn.Tensor(z[r])).values)
+            np.testing.assert_array_equal(rows[r], nn._softmax(z[r]))
 
 
 class TestCrossEntropy:
+    """span_loss: the sum of the start and end heads' cross-entropies."""
+
     def test_certain_prediction(self):
-        assert nn.cross_entropy(nn.Tensor([0.0, 1.0]), 1).values == pytest.approx(0.0)
+        loss = nn.span_loss(nn.Tensor([0.0, 100.0]), nn.Tensor([100.0, 0.0]), (1, 0))
+        assert loss.values == pytest.approx(0.0, abs=1e-40)
 
     def test_uniform(self):
         n = 5
-        assert nn.cross_entropy(nn.Tensor(np.full(n, 1 / n)), 2).values == pytest.approx(math.log(n))
+        loss = nn.span_loss(nn.Tensor(np.zeros(n)), nn.Tensor(np.zeros(n)), (2, 4))
+        assert loss.values == pytest.approx(2 * math.log(n))
 
     def test_quarter(self):
-        assert nn.cross_entropy(nn.Tensor([0.25, 0.75]), 0).values == pytest.approx(math.log(4))
+        # softmax([0, log 3]) is [0.25, 0.75]
+        loss = nn.span_loss(nn.Tensor([0.0, math.log(3)]), nn.Tensor([math.log(3), 0.0]), (0, 1))
+        assert loss.values == pytest.approx(2 * math.log(4))
 
     def test_clamps_at_zero_probability(self):
-        assert np.isfinite(nn.cross_entropy(nn.Tensor([0.0, 1.0]), 0).values)
+        # exp(-1000) underflows, so the start head's gold probability is exactly 0
+        start = nn.Tensor([0.0, -1000.0], requires_grad=True)
+        end = nn.Tensor([1.0, 2.0], requires_grad=True)
+        loss = nn.span_loss(start, end, (1, 0))
+        assert loss.values == pytest.approx(-math.log(1e-12) + math.log(1.0 + math.e))
+        nn.backward(loss)
+        assert start.grad is None  # a head below the clamp gets no gradient
+        np.testing.assert_allclose(end.grad, nn._softmax(end.values) - [1.0, 0.0], atol=1e-15)
 
     def test_softmax_xent_gradient(self):
         logits = nn.Tensor([0.0, 0.0], requires_grad=True)
-        loss = nn.cross_entropy(nn.softmax(logits), 0)
+        loss = nn.span_loss(logits, nn.Tensor([1.0, 2.0, 3.0]), (0, 2))
         nn.backward(loss)
         np.testing.assert_allclose(logits.grad, [-0.5, 0.5], atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "T, gold, below_clamp",
+        [(1, (0, 0), False), (2, (1, 0), False), (5, (0, 4), False), (8, (3, 3), False), (13, (12, 2), False),
+         pytest.param(6, (2, 5), True, id="below-clamp")],
+    )
+    def test_values_and_gradients_match_scalar_loops(self, T, gold, below_clamp):
+        rng = np.random.default_rng(T)
+        start, end = (nn.Tensor(rng.standard_normal(T) * 3, requires_grad=True) for _ in range(2))
+        if below_clamp:
+            # a gold probability near 1e-13: an unskipped head would get a gradient of about 0.1
+            start.values[gold[0]] = start.values.max() - 30.0
+        loss = nn.span_loss(start, end, gold)
+        nn.backward(loss)
+        want, *want_grads = span_loss_reference(start.values, end.values, gold)
+        assert loss.values == pytest.approx(want, rel=0, abs=1e-12)
+        for got, expected in zip((start.grad, end.grad), want_grads):
+            np.testing.assert_allclose(np.zeros(T) if got is None else got, expected, rtol=0, atol=1e-12)
+
+    def test_one_tape_node(self):
+        sizes = {tape_nodes(nn.span_loss(nn.Tensor(np.zeros(T)), nn.Tensor(np.ones(T)), (0, T - 1))) for T in (1, 9)}
+        assert sizes == {3}  # both heads' logits and the loss
 
 
 class TestDropout:
@@ -424,26 +484,34 @@ class TestPerLayerGradients:
     @pytest.mark.parametrize("seed", range(10))
     def test_dense(self, seed):
         rng = np.random.default_rng(seed)
-        W = nn.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        b = nn.Tensor(rng.standard_normal(3), requires_grad=True)
-        x = rng.standard_normal(4)
+        x = nn.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        heads = draw_heads(4, rng)
 
         def loss_fn():
-            return nn.cross_entropy(nn.softmax(dense(nn.Tensor(x), W, b)), 1)
+            return heads_loss(x, heads, (1, 2))
 
-        assert finite_difference_check(loss_fn, {"W": W, "b": b}) <= 1e-4
+        assert finite_difference_check(loss_fn, {"x": x, **heads}) <= 1e-4
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_span_loss(self, seed):
+        rng = np.random.default_rng(seed)
+        start, end = (nn.Tensor(rng.standard_normal(5) * 2, requires_grad=True) for _ in range(2))
+
+        def loss_fn():
+            return nn.span_loss(start, end, (seed % 5, 4 - seed % 5))
+
+        assert finite_difference_check(loss_fn, {"start": start, "end": end}) <= 1e-4
 
     @pytest.mark.parametrize("seed", range(10))
     def test_blstm_with_heads(self, seed):
         rng = np.random.default_rng(seed)
         fwd, bwd = draw_blstm(3, 3, rng)
-        w = nn.Tensor(rng.standard_normal(6), requires_grad=True)
+        heads = draw_heads(6, rng)
         xs = rng.standard_normal((4, 3))
-        params = {"fW": fwd[0], "fb": fwd[1], "bW": bwd[0], "bb": bwd[1], "w": w}
+        params = {"fW": fwd[0], "fb": fwd[1], "bW": bwd[0], "bb": bwd[1], **heads}
 
         def loss_fn():
-            out = nn.blstm_matrix(nn.Tensor(xs), fwd, bwd)
-            return nn.cross_entropy(nn.softmax(nn.matmul(out, w)), 2)
+            return heads_loss(nn.blstm_matrix(nn.Tensor(xs), fwd, bwd), heads, (2, 3))
 
         assert finite_difference_check(loss_fn, params) <= 1e-4
 
@@ -453,10 +521,10 @@ class TestPerLayerGradients:
         rng = np.random.default_rng(seed)
         X = nn.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         p = draw_blstm(3, 3, rng)
-        w = nn.Tensor(rng.standard_normal(6))
+        heads = draw_heads(6, rng, requires_grad=False)
 
         def loss_fn():
-            return nn.cross_entropy(nn.softmax(nn.matmul(nn.blstm_matrix(X, *p), w)), 1)
+            return heads_loss(nn.blstm_matrix(X, *p), heads, (1, 1))
 
         assert finite_difference_check(loss_fn, {"X": X}) <= 1e-4
 
@@ -466,10 +534,9 @@ class TestPerLayerGradients:
         H = nn.Tensor(rng.standard_normal((4, 4)), requires_grad=True)
         U = nn.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         ws = nn.Tensor(rng.standard_normal(12), requires_grad=True)
-        w_out = nn.Tensor(rng.standard_normal(4), requires_grad=True)
+        heads = draw_heads(4, rng)
 
         def loss_fn():
-            att = nn.c2q_attention(H, U, ws)
-            return nn.cross_entropy(nn.softmax(nn.matmul(att, w_out)), 0)
+            return heads_loss(nn.c2q_attention(H, U, ws), heads, (0, 2))
 
-        assert finite_difference_check(loss_fn, {"H": H, "U": U, "ws": ws, "w_out": w_out}) <= 1e-4
+        assert finite_difference_check(loss_fn, {"H": H, "U": U, "ws": ws, **heads}) <= 1e-4
