@@ -9,7 +9,7 @@ outputs by line membership, or per word).  Training minimizes span_loss,
 the sum of the two heads' negative log-likelihoods of the gold span.
 Confidence is the sum of the pre-softmax logits at the predicted span.
 The loss tape uses every operation of phocqa.neural: dropout,
-blstm_matrix, c2q_attention, concat, matmul (line mode's per-line sums),
+blstm_matrix, c2q_attention, concat, line_sums (line mode's per-line sums),
 linear and span_loss.
 
 parameter_layout is the one list of the model's parameters: each name,
@@ -40,8 +40,8 @@ from .neural import (
     c2q_attention,
     concat,
     dropout,
+    line_sums,
     linear,
-    matmul,
     span_loss,
     zero_grads,
 )
@@ -80,17 +80,19 @@ class BidafConfig:
         return self.phoc_dim + (self.pos_dim if self.mode == "line" else 0)
 
 
-def line_positional_encoding(line_index: int, dim: int) -> np.ndarray:
-    """Sinusoidal encoding: pe[2i] = sin(pos/10000^(2i/dim)), pe[2i+1] = cos(...)."""
+def line_positional_encoding(line_index: int | np.ndarray, dim: int) -> np.ndarray:
+    """Sinusoidal encoding: pe[2i] = sin(pos/10000^(2i/dim)), pe[2i+1] = cos(...).
+    An integer array of line indices gets one row per entry."""
     if dim % 2 != 0:
         raise ValueError("positional encoding dimension must be even")
-    if line_index < 0:
+    lines = np.asarray(line_index)
+    if (lines < 0).any():
         raise ValueError("line_index must be non-negative")
     i = np.arange(dim // 2)
-    angle = line_index / np.power(10000.0, 2.0 * i / dim)
-    pe = np.empty(dim)
-    pe[0::2] = np.sin(angle)
-    pe[1::2] = np.cos(angle)
+    angle = lines[..., None] / np.power(10000.0, 2.0 * i / dim)
+    pe = np.empty(lines.shape + (dim,))
+    pe[..., 0::2] = np.sin(angle)
+    pe[..., 1::2] = np.cos(angle)
     return pe
 
 
@@ -153,12 +155,6 @@ class BidafModel:
         return tuple((p[f"{name}.{d}.W"], p[f"{name}.{d}.b"]) for d in ("fwd", "bwd"))
 
 
-def _line_aggregation_matrix(document: Document) -> np.ndarray:
-    agg = np.zeros((document.num_lines, len(document)))
-    agg[document.word_lines, np.arange(len(document))] = 1.0
-    return agg
-
-
 def forward(
     document: Document,
     question: list[np.ndarray],
@@ -179,8 +175,7 @@ def forward(
 
     ctx = unpack_phocs(document.rows)
     if cfg.mode == "line":
-        pe = np.stack([line_positional_encoding(line, cfg.pos_dim) for line in range(document.num_lines)])
-        ctx = np.concatenate([ctx, pe[document.word_lines]], axis=1)
+        ctx = np.concatenate([ctx, line_positional_encoding(document.word_lines, cfg.pos_dim)], axis=1)
     ctx_in = drop(Tensor(ctx))
     q_in = drop(Tensor(np.stack(question)))
     p = model.params
@@ -190,10 +185,7 @@ def forward(
     G = concat([H, attended])  # T x 4h
     M = blstm_matrix(drop(blstm_matrix(drop(G), *model.blstm("model1"))), *model.blstm("model2"))  # T x 2h
 
-    if cfg.mode == "line":
-        reps = matmul(Tensor(_line_aggregation_matrix(document)), M)  # L x 2h
-    else:
-        reps = M
+    reps = line_sums(M, document.word_lines) if cfg.mode == "line" else M  # L x 2h or T x 2h
 
     start_logits = linear(reps, p["w_start"], p["b_start"])
     end_out = blstm_matrix(drop(reps), *model.blstm("end_blstm"))

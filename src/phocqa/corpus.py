@@ -26,7 +26,7 @@ import sys
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain, zip_longest
+from itertools import chain, repeat, zip_longest
 from pathlib import Path
 from types import MappingProxyType
 
@@ -57,9 +57,9 @@ class Document:
     """Token i has transcription transcriptions[i], lies on line
     word_lines[i] and has the PHOC in row token_row[i] of `table`.
 
-    The constructor checks everything once, stores each bbox as a tuple and
-    makes the three arrays read-only; a malformed document raises
-    ValueError naming it.
+    The constructor checks everything once, stores the transcriptions and
+    each bbox as tuples and makes the three arrays read-only; a malformed
+    document raises ValueError naming it.
     """
 
     doc_id: str
@@ -73,9 +73,14 @@ class Document:
         where = f"document {self.doc_id!r}"
         if not isinstance(self.doc_id, str):
             raise ValueError(f"{where}: doc_id must be a string")
-        n, word_lines, table, token_row = len(self.transcriptions), self.word_lines, self.table, self.token_row
+        transcriptions = tuple(self.transcriptions)
+        object.__setattr__(self, "transcriptions", transcriptions)
+        n, word_lines, table, token_row = len(transcriptions), self.word_lines, self.table, self.token_row
         if n == 0:
             raise ValueError(f"{where} is empty")
+        if not all(map(isinstance, transcriptions, repeat(str))):
+            pos, text = next((pos, t) for pos, t in enumerate(transcriptions) if not isinstance(t, str))
+            raise ValueError(f"{where}: word {pos} transcription must be a string, not {text!r}")
         if not (
             isinstance(table, np.ndarray) and table.dtype == np.uint64 and table.ndim == 2
             and table.shape[1] == PACKED_WORDS and table.flags.c_contiguous
@@ -257,7 +262,7 @@ def build_collection(columns: Mapping[str, tuple[Sequence[str], Sequence[int], t
     for doc_id, (texts, word_lines, bboxes) in columns.items():
         token_row = np.fromiter(map(rows.__getitem__, texts), dtype=np.intp, count=len(texts))
         word_lines = np.asarray(word_lines, dtype=np.intp)  # a loader's column is not copied
-        documents[doc_id] = Document(doc_id, tuple(texts), word_lines, table, token_row, bboxes)
+        documents[doc_id] = Document(doc_id, texts, word_lines, table, token_row, bboxes)
     return Collection(documents)
 
 

@@ -3,13 +3,14 @@ numpy arrays, with exactly the operations the span-prediction network needs,
 plus the ADADELTA update.  The finite-difference gradient checker that
 verifies them lives with the tests (tests/oracles.py).
 
-The tape's operations are matrix-times-matrix matmul, column concat and
-five fused ones, each a single node with a hand-written backward pass:
-dropout, one LSTM direction (lstm_sequence, over a fused (W, b) pair of
-parameter Tensors, with backpropagation through time), context-to-query
-attention, a linear head (one logit per row) and the span loss (the sum of
-two clamped negative log-likelihoods).  The model therefore adds the same
-number of nodes to the tape whatever the sequence lengths.
+The tape's operations are column concat and six fused ones, each a single
+node with a hand-written backward pass: dropout, one LSTM direction
+(lstm_sequence, over a fused (W, b) pair of parameter Tensors, with
+backpropagation through time), context-to-query attention, the per-line
+sums of word rows (line_sums), a linear head (one logit per row) and the
+span loss (the sum of two clamped negative log-likelihoods).  The model
+therefore adds the same number of nodes to the tape whatever the sequence
+lengths.
 
 Everything runs in double precision; determinism requires single-threaded
 use and explicit seeded Generators for dropout and initialization.
@@ -52,21 +53,21 @@ class Tensor:
             self.grad += g
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix times matrix; other shapes raise ValueError."""
-    av, bv = a.values, b.values
-    if av.ndim != 2 or bv.ndim != 2:
-        raise ValueError(f"matmul takes a matrix times a matrix, not {av.shape} @ {bv.shape}")
-    out = Tensor(av @ bv, (a, b))
+def line_sums(x: Tensor, word_lines: np.ndarray) -> Tensor:
+    """Row l of the result is the sum of the rows t of x with
+    word_lines[t] == l, for a (T, d) x and a (T,) non-negative integer line
+    column, as one tape node; the backward pass hands each row its line's
+    gradient.  The forward pass is the dense 0/1 line matrix times x, not
+    np.add.reduceat: BLAS adds the rows in another order, so the two differ
+    in the last bits, and the trained bytes are those of the product."""
+    agg = np.zeros((word_lines.max() + 1, len(word_lines)))
+    agg[word_lines, np.arange(len(word_lines))] = 1.0
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(g @ bv.T)
-        if b.requires_grad:
-            b._accum(av.T @ g)
+        if x.requires_grad:
+            x._accum(g[word_lines])
 
-    out._backward = bw
-    return out
+    return Tensor(agg @ x.values, (x,), bw)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

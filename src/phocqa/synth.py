@@ -18,6 +18,7 @@ from .corpus import Collection, Question, build_collection
 from .stopwords import NORMALIZED_STOPWORDS
 
 _LETTERS = np.array(list(string.ascii_lowercase))
+MARKER_WORDS = (1, 3)  # markers planted per question, inclusive range
 
 
 @dataclass(frozen=True)
@@ -27,11 +28,10 @@ class GeneratorSpec:
     words_per_line: tuple[int, int] = (5, 10)
     vocab_size: int = 500
     num_questions: int = 50
-    marker_words: tuple[int, int] = (1, 3)  # markers planted per question
     seed: int = 42
 
     def __post_init__(self):
-        for lo, hi in (self.lines_per_document, self.words_per_line, self.marker_words):
+        for lo, hi in (self.lines_per_document, self.words_per_line, MARKER_WORDS):
             if lo < 1 or hi < lo:
                 raise ValueError("ranges must be positive and ordered")
         if self.num_documents < 1 or self.vocab_size < 1:
@@ -58,7 +58,7 @@ def _make_vocabulary(size: int, rng: np.random.Generator) -> list[str]:
 def generate(spec: GeneratorSpec) -> tuple[Collection, list[Question]]:
     """Build (Collection, Questions) deterministically from the spec's seed."""
     rng = np.random.default_rng(spec.seed)
-    markers_needed = spec.num_questions * spec.marker_words[1]
+    markers_needed = spec.num_questions * MARKER_WORDS[1]
     if spec.vocab_size <= markers_needed:
         raise ValueError(
             f"vocab_size {spec.vocab_size} too small for {markers_needed} unique markers"
@@ -86,7 +86,7 @@ def generate(spec: GeneratorSpec) -> tuple[Collection, list[Question]]:
     questions_raw = []
     planted: dict[str, set[int]] = {did: set() for did in doc_ids}
     for qi in range(spec.num_questions):
-        m = int(rng.integers(spec.marker_words[0], spec.marker_words[1] + 1))
+        m = int(rng.integers(MARKER_WORDS[0], MARKER_WORDS[1] + 1))
         markers = marker_pool[next_marker : next_marker + m]
         next_marker += m
         # sample a gold document that still has room for a contiguous span

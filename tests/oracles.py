@@ -4,10 +4,11 @@ These are written against the definitions directly and deliberately share
 no code with the library: occupancy-rule PHOC bits, nested-loop max/mean
 document scoring, two-line snippet windows, set-arithmetic DIS, per-word
 PHOC bit flips, the unblocked per-tensor ADADELTA update, the double-loop
-constrained span argmax, the looped context-to-query attention gradient
-and the looped linear head and span loss.  The one exception is the finite-difference gradient checker at
-the end: it takes the analytic gradients from the library's tape and
-compares them against central differences of the loss.
+constrained span argmax, the looped context-to-query attention gradient,
+the looped per-line sums and the looped linear head and span loss.  The
+one exception is the finite-difference gradient checker at the end: it
+takes the analytic gradients from the library's tape and compares them
+against central differences of the loss.
 """
 
 from __future__ import annotations
@@ -159,6 +160,19 @@ def c2q_gradient_reference(H, U, ws, G) -> tuple[np.ndarray, np.ndarray, np.ndar
                 gws[d + k] += gs * U[j, k]
                 gws[2 * d + k] += gs * H[t, k] * U[j, k]
     return gH, gU, gws
+
+
+def line_sums_reference(x, word_lines, g) -> tuple[np.ndarray, np.ndarray]:
+    """out_l = sum of the rows x_t with word_lines[t] == l, for a (T, d) x,
+    and the gradient at x of sum(g * out), one scalar at a time."""
+    T, d = x.shape
+    L = max(word_lines) + 1
+    out = np.zeros((L, d))
+    for t in range(T):
+        for k in range(d):
+            out[word_lines[t], k] += x[t, k]
+    gx = np.array([[g[word_lines[t], k] for k in range(d)] for t in range(T)])
+    return out, gx
 
 
 def linear_reference(x, w, b, g) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:

@@ -89,6 +89,17 @@ class TestPositionalEncoding:
         with pytest.raises(ValueError):
             line_positional_encoding(1, 7)
 
+    @pytest.mark.parametrize("dim", [0, 2, 6, 30])
+    def test_array_equals_stacked_scalar_calls(self, dim):
+        lines = np.array([0, 0, 1, 2, 2, 2, 3, 4, 4, 9, 40], dtype=np.intp)
+        expected = np.stack([line_positional_encoding(int(line), dim) for line in lines])
+        assert line_positional_encoding(lines, dim).tobytes() == expected.tobytes()
+        assert line_positional_encoding(lines, dim).shape == (len(lines), dim)
+
+    def test_negative_entry_rejected(self):
+        with pytest.raises(ValueError, match="line_index must be non-negative"):
+            line_positional_encoding(np.array([0, 1, -1, 2]), 6)
+
 
 class TestConfig:
     def test_defaults(self):
@@ -169,8 +180,8 @@ class TestForward:
         assert end.shape == (1,)
 
     def test_line_context_equals_per_word_stack(self, monkeypatch):
-        # each line's positional encoding is computed once and repeated; the
-        # context must equal the per-word stack byte for byte
+        # the positional encodings are computed for the whole line column at
+        # once; the context must equal the per-word stack byte for byte
         doc = make_document("d", [["alpha", "be"], ["c"], ["dd", "e", "f"], ["g", "h"]])
         model = BidafModel(BidafConfig(**SMALL), seed=0)
         inputs = []
@@ -186,17 +197,14 @@ class TestForward:
     def test_singleton_line_aggregation_is_identity(self):
         # one word per line: summing by line membership changes nothing
         doc = make_document("d", [["one"], ["two"], ["three"]])
-        agg = bidaf._line_aggregation_matrix(doc)
-        np.testing.assert_array_equal(agg, np.eye(3))
         M = np.random.default_rng(0).standard_normal((3, 12))
-        np.testing.assert_array_equal(agg @ M, M)
+        np.testing.assert_array_equal(nn.line_sums(nn.Tensor(M), doc.word_lines).values, M)
 
     def test_line_aggregation_sums_by_membership(self):
         doc = make_document("d", [["a", "b", "c"], ["d", "e"]])
-        agg = bidaf._line_aggregation_matrix(doc)
         M = np.random.default_rng(1).standard_normal((5, 4))
         expected = np.stack([M[0] + M[1] + M[2], M[3] + M[4]])
-        np.testing.assert_allclose(agg @ M, expected)
+        np.testing.assert_allclose(nn.line_sums(nn.Tensor(M), doc.word_lines).values, expected)
 
     def test_deterministic_eval(self, tiny_data):
         collection, questions = tiny_data
@@ -352,13 +360,12 @@ class TestFullGraphGradient:
 
 
 class TestTape:
-    @pytest.mark.parametrize("mode, nodes", [("line", 54), ("word", 52)])
+    @pytest.mark.parametrize("mode, nodes", [("line", 53), ("word", 52)])
     def test_loss_tape_size_independent_of_lengths(self, mode, nodes, rng):
         # 2 inputs, 5 dropouts, 5 BLSTMs of 7 (4 parameters, 2 directions and
         # their concat), att_ws and the attention, the concat of H and the
         # attention, 6 for the two heads (weight, bias and linear each) and 1
-        # for the span loss; line mode adds the aggregation matrix and its
-        # product
+        # for the span loss; line mode adds the per-line sums
         model = BidafModel(BidafConfig(hidden=3, pos_dim=4, dropout_rate=0.2, mode=mode), seed=1)
         sizes = set()
         for num_lines, words_per_line, question_length in ((1, 1, 1), (3, 4, 2), (9, 7, 6)):

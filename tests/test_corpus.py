@@ -576,7 +576,7 @@ class TestCorruptCollection:
 
 class TestDocument:
     """The constructor rejects what load_collection rejects, naming the
-    document and, for a bbox, the word."""
+    document and, for a bbox or a transcription, the word."""
 
     @pytest.mark.parametrize(
         "fields, message",
@@ -589,8 +589,13 @@ class TestDocument:
             ({"bboxes": "z"}, r"document 'a': bboxes must be a tuple or None, not 'z'$"),
             ({"bboxes": ((0, 0, 1, 1),)}, r"document 'a': 1 bboxes for 2 words$"),
             ({"doc_id": 5}, r"document 5: doc_id must be a string$"),
+            ({"transcriptions": (1, 2)}, r"document 'a': word 0 transcription must be a string, not 1$"),
+            ({"transcriptions": ["one", b"two"]}, r"document 'a': word 1 transcription must be a string, not b'two'$"),
         ],
-        ids=["bbox-string", "bbox-nan", "bbox-huge-int", "bbox-bool", "bbox-three-numbers", "bboxes-string", "bboxes-short", "doc-id-int"],
+        ids=[
+            "bbox-string", "bbox-nan", "bbox-huge-int", "bbox-bool", "bbox-three-numbers", "bboxes-string",
+            "bboxes-short", "doc-id-int", "transcription-int", "transcription-bytes",
+        ],
     )
     def test_rejects_what_the_loader_rejects(self, fields, message):
         doc = make_collection({"a": [["one", "two"]]})["a"]
@@ -605,6 +610,15 @@ class TestDocument:
         loaded = load_collection(tmp_path / "c.json")["a"]
         assert loaded.bboxes == doc.bboxes
         assert [[type(x) for x in b] for b in loaded.bboxes if b] == [[int] * 4, [float, float, int, float]]
+
+    def test_transcription_list_stored_as_tuple_writes_and_loads_back(self, tmp_path):
+        # a list given to the constructor is copied, so changing it afterwards changes nothing
+        texts = ["one", "two", "three"]
+        doc = replace(make_collection({"a": [["one", "two"], ["three"]]})["a"], transcriptions=texts)
+        texts[0] = 1
+        assert doc.transcriptions == ("one", "two", "three")
+        write_collection(Collection({"a": doc}), tmp_path / "c.json")
+        assert load_collection(tmp_path / "c.json")["a"].transcriptions == doc.transcriptions
 
 
 def test_collection_key_must_be_doc_id():

@@ -10,6 +10,7 @@ from oracles import (
     adadelta_reference,
     c2q_gradient_reference,
     finite_difference_check,
+    line_sums_reference,
     linear_reference,
     span_loss_reference,
 )
@@ -71,15 +72,49 @@ class TestDense:
         assert sizes == {4}  # the three inputs and the head
 
 
-class TestMatmul:
-    @pytest.mark.parametrize("a, b", [((3,), (3, 2)), ((3,), (3,)), ((2, 3, 4), (4,)), ((2, 3), ())])
-    def test_rejects_shapes_other_than_matrix_times_matrix_or_vector(self, a, b):
-        with pytest.raises(ValueError, match="matmul takes a matrix times a matrix"):
-            nn.matmul(nn.Tensor(np.ones(a)), nn.Tensor(np.ones(b)))
+class TestLineSums:
+    """line_sums: the rows of a matrix summed by a line column."""
 
-    def test_rejects_matrix_times_vector(self):
-        with pytest.raises(ValueError, match=r"matmul takes a matrix times a matrix, not \(3, 2\) @ \(2,\)"):
-            nn.matmul(nn.Tensor(np.ones((3, 2))), nn.Tensor(np.ones(2)))
+    LINE_COLUMNS = [[0], [0, 0, 0, 0], [0, 1, 2, 3, 4], [0, 0, 1, 1, 1, 2], [0, 1, 1, 2, 2, 2, 2, 3, 4, 4]]
+    IDS = ["T1", "one-line", "word-per-line", "mixed", "ten-words"]
+
+    @pytest.mark.parametrize("lines", LINE_COLUMNS, ids=IDS)
+    @pytest.mark.parametrize("d", [1, 6])
+    def test_values_and_gradients_match_scalar_loops(self, lines, d):
+        rng = np.random.default_rng(len(lines) * 10 + d)
+        word_lines = np.array(lines, dtype=np.intp)
+        x = nn.Tensor(rng.standard_normal((len(lines), d)), requires_grad=True)
+        out = nn.line_sums(x, word_lines)
+        nn.backward(sum_of_squares(out))
+        want, want_grad = line_sums_reference(x.values, lines, 2.0 * out.values)
+        np.testing.assert_allclose(out.values, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x.grad, want_grad, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("lines", LINE_COLUMNS, ids=IDS)
+    def test_bytes_equal_the_dense_line_matrix_products(self, lines):
+        # the forward pass is the product with the 0/1 line matrix, whose
+        # bytes a reduceat sum does not keep; the backward gather is
+        # exactly that matrix's transpose times the gradient
+        rng = np.random.default_rng(len(lines))
+        word_lines = np.array(lines, dtype=np.intp)
+        agg = np.zeros((word_lines[-1] + 1, len(lines)))
+        agg[word_lines, np.arange(len(lines))] = 1.0
+        x = nn.Tensor(rng.standard_normal((len(lines), 200)), requires_grad=True)
+        out = nn.line_sums(x, word_lines)
+        g = rng.standard_normal(out.shape)
+        out._backward(g)
+        assert out.values.tobytes() == (agg @ x.values).tobytes()
+        assert x.grad.tobytes() == (agg.T @ g).tobytes()
+
+    def test_gradients(self, rng):
+        x = nn.Tensor(rng.standard_normal((7, 3)), requires_grad=True)
+        word_lines = np.array([0, 0, 1, 2, 2, 2, 3], dtype=np.intp)
+        heads = draw_heads(3, rng, requires_grad=False)
+        assert finite_difference_check(lambda: heads_loss(nn.line_sums(x, word_lines), heads, (1, 2)), {"x": x}) <= 1e-4
+
+    def test_one_tape_node(self):
+        sizes = {tape_nodes(nn.line_sums(nn.Tensor(np.ones((T, 3))), np.arange(T) // 2)) for T in (1, 7)}
+        assert sizes == {2}  # the input and the sums
 
 
 def scalar_lstm(W: np.ndarray, b: np.ndarray, xs: np.ndarray, reverse: bool) -> np.ndarray:
