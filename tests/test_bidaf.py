@@ -93,8 +93,9 @@ class TestPositionalEncoding:
     def test_array_equals_stacked_scalar_calls(self, dim):
         lines = np.array([0, 0, 1, 2, 2, 2, 3, 4, 4, 9, 40], dtype=np.intp)
         expected = np.stack([line_positional_encoding(int(line), dim) for line in lines])
-        assert line_positional_encoding(lines, dim).tobytes() == expected.tobytes()
-        assert line_positional_encoding(lines, dim).shape == (len(lines), dim)
+        got = line_positional_encoding(lines, dim)
+        assert got.shape == (len(lines), dim)
+        assert got.tobytes() == expected.tobytes()
 
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError, match="line_index must be non-negative"):
