@@ -41,6 +41,14 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def positive_int(text: str) -> int:
+    """A --k value: the number of documents retrieved per question."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _load_corrupted(path: str, flip_rate: float, seed: int) -> Collection:
     # corrupt_collection rejects a flip rate outside [0, 1], NaN included,
     # and returns the collection itself at 0
@@ -155,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         if questions:
             p.add_argument("--questions", required=True)
         if k:
-            p.add_argument("--k", type=int, default=5)
+            p.add_argument("--k", type=positive_int, default=5)
         p.add_argument("--flip-rate", dest="flip_rate", type=float, default=0.0)
         p.add_argument("--seed", type=non_negative_int, default=42)
         if backend:

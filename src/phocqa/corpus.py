@@ -73,6 +73,8 @@ class Document:
         where = f"document {self.doc_id!r}"
         if not isinstance(self.doc_id, str):
             raise ValueError(f"{where}: doc_id must be a string")
+        if isinstance(self.transcriptions, str):  # tuple() would split it into characters
+            raise ValueError(f"{where}: transcriptions must be a sequence of strings, not {self.transcriptions!r}")
         transcriptions = tuple(self.transcriptions)
         object.__setattr__(self, "transcriptions", transcriptions)
         n, word_lines, table, token_row = len(transcriptions), self.word_lines, self.table, self.token_row

@@ -125,6 +125,8 @@ def evaluate(
 ) -> EvalReport:
     """Run the full pipeline per question and aggregate.  A prediction in the
     wrong document scores DIS 0 (it cannot intersect the gold SB)."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     per_question = []
     for q in questions:
         if q.gold_doc_id not in collection.documents:

@@ -479,3 +479,33 @@ def test_rejects_negative_seed_while_parsing(corpus_dir, tmp_path, capsys, comma
     assert out.err.splitlines()[-1] == f"phocqa {command}: error: argument --seed: must be a non-negative integer, got -1"
     assert out.out == ""
     assert not output.exists() and not report.exists() and not ckpt.exists()
+
+
+@pytest.mark.parametrize("command", ["retrieve", "answer", "eval"])
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_rejects_non_positive_k_while_parsing(corpus_dir, tmp_path, capsys, command, k):
+    collection, report = str(corpus_dir / "collection.json"), tmp_path / "report.json"
+    # an empty question file: evaluate never reaches rank_collection, which also rejects k < 1
+    questions = tmp_path / "questions.json"
+    questions.write_text('{"questions": []}', encoding="utf-8")
+    argv = [command, "--k", k, "--collection", collection] + {
+        "retrieve": ["dear sir"],
+        "answer": ["dear sir"],
+        "eval": ["--questions", str(questions), "--report", str(report)],
+    }[command]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    out = capsys.readouterr()
+    assert out.err.splitlines()[-1] == f"phocqa {command}: error: argument --k: must be a positive integer, got {k}"
+    assert out.out == ""
+    assert not report.exists()
+
+
+def test_eval_k_one_on_empty_question_file(corpus_dir, tmp_path, capsys):
+    questions, report = tmp_path / "questions.json", tmp_path / "report.json"
+    questions.write_text('{"questions": []}', encoding="utf-8")
+    argv = ["eval", "--k", "1", "--collection", str(corpus_dir / "collection.json"), "--questions", str(questions)]
+    assert main(argv + ["--report", str(report)]) == 0
+    assert capsys.readouterr().out == "questions 0 accuracy 0.0000 mean_dis 0.0000 top1 0.0000\n"
+    assert json.loads(report.read_text())["per_question"] == []

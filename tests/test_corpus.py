@@ -591,10 +591,12 @@ class TestDocument:
             ({"doc_id": 5}, r"document 5: doc_id must be a string$"),
             ({"transcriptions": (1, 2)}, r"document 'a': word 0 transcription must be a string, not 1$"),
             ({"transcriptions": ["one", b"two"]}, r"document 'a': word 1 transcription must be a string, not b'two'$"),
+            # two characters for two words: tuple("xy") would pass every other check
+            ({"transcriptions": "xy"}, r"document 'a': transcriptions must be a sequence of strings, not 'xy'$"),
         ],
         ids=[
             "bbox-string", "bbox-nan", "bbox-huge-int", "bbox-bool", "bbox-three-numbers", "bboxes-string",
-            "bboxes-short", "doc-id-int", "transcription-int", "transcription-bytes",
+            "bboxes-short", "doc-id-int", "transcription-int", "transcription-bytes", "transcriptions-string",
         ],
     )
     def test_rejects_what_the_loader_rejects(self, fields, message):

@@ -238,6 +238,17 @@ class TestEvaluate:
         b = evaluate(collection, questions, answer_attention, k=5).to_json()
         assert a == b
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_bad_k_rejected_before_any_question(self, synth, k):
+        collection, questions = synth
+
+        def never_called(doc, query):
+            raise AssertionError("no question may be answered")
+
+        for qs in ([], questions):
+            with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$"):
+                evaluate(collection, qs, never_called, k=k)
+
     def test_unknown_gold_doc(self, synth):
         collection, questions = synth
         bad = Question("ghost", "what is foo", ("foo",), "nope", (0, 0), (0, 0))

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phocqa.corpus import Collection, Document, build_index, corrupt_collection, pack_phocs, unpack_phocs
+from phocqa import retriever
+from phocqa.corpus import PACKED_WORDS, Collection, Document, build_index, corrupt_collection, pack_phocs, unpack_phocs
 from phocqa.phoc import PHOC_DIM, phoc_encode
 from phocqa.retriever import rank_collection, segment_maxima, similarities, top_k
 from phocqa.snippet_qa import answer_attention
@@ -78,6 +80,14 @@ class TestDocScore:
         assert after >= before - 1e-12
 
 
+def full_width_similarities(types, counts, query):
+    """similarities as one full-width expression: every query row against
+    all of `types` at once, then the cosine over the exact dots."""
+    qrows, qcounts = pack_phocs(query)
+    dots = np.stack([np.bitwise_count(types & q[:, None]).sum(axis=0) for q in qrows])
+    return dots / np.sqrt(np.maximum(np.multiply.outer(qcounts, counts), 1))
+
+
 class TestSegmentMaxima:
     @staticmethod
     def row_major_maxima(index, query, starts):
@@ -118,9 +128,7 @@ class TestSegmentMaxima:
         types = np.ascontiguousarray(np.concatenate([index.types, extra.T], axis=1))
         counts = np.bitwise_count(types).sum(axis=0)
         query = [phoc_encode("panopticon"), np.zeros(PHOC_DIM), np.ones(PHOC_DIM), phoc_encode("x")]
-        qrows, qcounts = pack_phocs(query)
-        dots = np.stack([np.bitwise_count(types & q[:, None]).sum(axis=0) for q in qrows])
-        expected = dots / np.sqrt(np.maximum(np.multiply.outer(qcounts, counts), 1))
+        expected = full_width_similarities(types, counts, query)
         for given_counts in (counts, counts.astype(np.intp)):
             got = similarities(types, given_counts, query)
             assert got.dtype == np.float64 and got.flags.c_contiguous
@@ -133,6 +141,65 @@ class TestSegmentMaxima:
         doc = Document("d", ("x",), np.zeros(1, dtype=np.intp), pack_phocs([ones])[0], np.zeros(1, dtype=np.intp))
         assert rank_collection(Collection({"d": doc}), [ones], k=1)[0].score == 1.0
         assert answer_attention(doc, [ones]).confidence == 1.0
+
+
+class TestBlocks:
+    """similarities walks the columns in blocks of retriever.BLOCK; the dots
+    are exact integers, so every block split gives the same bytes."""
+
+    @staticmethod
+    def packed_columns(rng, width):
+        # random PHOCs besides an empty column (count 0) and a full one (504)
+        phocs = list(rng.integers(0, 2, (width - 2, PHOC_DIM)).astype(np.float64))
+        rows = pack_phocs(phocs + [np.zeros(PHOC_DIM), np.ones(PHOC_DIM)])[0]
+        return np.ascontiguousarray(rows.T), np.bitwise_count(rows).sum(axis=1)
+
+    @pytest.mark.parametrize("width", [3, 4, 5, 14])  # BLOCK - 1, BLOCK, BLOCK + 1 and 3 * BLOCK + 2
+    @pytest.mark.parametrize("query_len", [1, 3])
+    def test_byte_identical_across_block_boundaries(self, monkeypatch, rng, width, query_len):
+        monkeypatch.setattr(retriever, "BLOCK", 4)
+        types, counts = self.packed_columns(rng, width)
+        query = [np.ones(PHOC_DIM), phoc_encode("panopticon"), np.zeros(PHOC_DIM)][:query_len]
+        expected = full_width_similarities(types, counts, query)
+        got = similarities(types, counts, query)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.tobytes() == expected.tobytes()
+        assert not got[:, -2].any() and got[0, -1] == 1.0  # the empty column, and the full one against the all-ones row
+
+    def test_transposed_rows_as_answer_attention_passes_them(self, monkeypatch, rng):
+        monkeypatch.setattr(retriever, "BLOCK", 4)
+        types, counts = self.packed_columns(rng, 14)
+        rows = np.ascontiguousarray(types.T)
+        assert not rows.T.flags.c_contiguous
+        query = [phoc_encode("panopticon"), phoc_encode("x"), np.ones(PHOC_DIM)]
+        got = similarities(rows.T, counts, query)
+        assert got.tobytes() == full_width_similarities(types, counts, query).tobytes()
+
+    def test_rank_collection_beyond_one_block(self):
+        # a corrupted collection: every token is its own column, more of them than one block
+        base, _ = generate(GeneratorSpec(num_documents=190, num_questions=1, vocab_size=300, seed=5))
+        c = corrupt_collection(base, 0.2, np.random.default_rng(5))
+        assert c.index.token_type is None and c.index.types.shape[1] > retriever.BLOCK
+        words = sorted({w.transcription for doc in base.ordered() for w in doc.words})
+        query = [phoc_encode(words[i]) for i in np.random.default_rng(5).integers(0, len(words), 3)]
+        scores = TestSegmentMaxima.row_major_maxima(c.index, query, c.index.offsets).mean(axis=1)
+        oracle = sorted(zip(c.index.doc_ids, scores.tolist()), key=lambda t: (-t[1], t[0]))
+        results = rank_collection(c, query, k=len(c))
+        assert [(r.doc_id, r.score) for r in results] == oracle
+
+    def test_temporaries_bounded_by_a_block(self, rng):
+        # one full-width AND temporary would take 64 bytes per column
+        width = 4 * retriever.BLOCK
+        types = rng.integers(0, 2**63, (PACKED_WORDS, width), dtype=np.uint64)
+        counts = np.bitwise_count(types).sum(axis=0, dtype=np.intp)
+        query = [phoc_encode("panopticon")]
+        tracemalloc.start()
+        try:
+            similarities(types, counts, query)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * width
 
 
 class TestRankCollection:
