@@ -30,11 +30,12 @@ def run_sweep(rates, seeds, num_docs, num_questions):
             seed=j,
         )
         collection, questions = generate(spec)
+        queries = [q.query for q in questions]  # encoded once, for every rate
         for i, rate in enumerate(rates):
             noisy = corrupt_collection(collection, rate, np.random.default_rng(j * 101 + i))
             h1 = h5 = 0
-            for q in questions:
-                results = rank_collection(noisy, q.query, k=5)
+            for q, query in zip(questions, queries):
+                results = rank_collection(noisy, query, k=5)
                 h1 += results[0].doc_id == q.gold_doc_id
                 h5 += any(r.doc_id == q.gold_doc_id for r in results)
             top1[i, j] = h1 / len(questions)

@@ -14,9 +14,10 @@ and Question.query, the PHOC of each token, shares its encoder with
 preprocess_query.
 
 A Collection builds its packed index as it is made: the rows of each
-distinct table, stacked once in first-seen order, plus a token-to-row map
-(None when token i is row i) and per-document offsets.  The packing format
-is defined here and nowhere else.
+distinct table, stacked once in first-seen order as 64 byte planes (plane
+k holds byte k of every row), plus a token-to-row map (None when token i
+is row i) and per-document offsets.  The packing format is defined here
+and nowhere else.
 """
 
 from __future__ import annotations
@@ -202,9 +203,11 @@ class PackedIndex:
     the padding bits 504-511 are clear, so AND plus popcount of two packed
     rows is the dot product of the binary vectors.
 
-    `types` is column-major: a C-contiguous (PACKED_WORDS, V) array whose
-    column v is type v, so scoring one query vector against every type is
-    PACKED_WORDS passes over contiguous V-length rows.
+    `planes` holds the types byte-sliced: a C-contiguous (64, V) uint8 array
+    whose row k is byte k of every type, so a query byte meets all V types
+    in one pass over a contiguous V-byte row, and a zero query byte, which
+    adds nothing to any dot, is skipped with its whole plane.  It holds the
+    same 64 bytes per type as the packed rows.
 
     `token_type` is None when token i is type i for every token, that is
     when the stacked rows are the tokens in order, each used once: the
@@ -212,7 +215,7 @@ class PackedIndex:
     image.  Per-type scores are then already per-token scores.
     """
 
-    types: np.ndarray  # (PACKED_WORDS, V) uint64, packed rows as columns
+    planes: np.ndarray  # (64, V) uint8, byte k of every type in row k; C-contiguous
     counts: np.ndarray  # (V,) intp, set bits of each type
     token_type: np.ndarray | None  # (N,) type of each token, documents concatenated; None: the identity
     offsets: np.ndarray  # (D,) first token of each document
@@ -268,6 +271,21 @@ def build_collection(columns: Mapping[str, tuple[Sequence[str], Sequence[int], t
     return Collection(documents)
 
 
+def _set_bits(tables: list[np.ndarray]) -> np.ndarray:
+    """The set bits of every row of the packed `tables`, in order, counted 64
+    tables at a time, so that no temporary spans the whole stack.  Each
+    chunk's per-word counts are summed word by word: a sum over an axis of
+    PACKED_WORDS is several times slower."""
+    counts = [np.empty(0, dtype=np.intp)]
+    for i in range(0, len(tables), 64):
+        words = np.bitwise_count(np.concatenate(tables[i:i + 64]))  # (rows, PACKED_WORDS) uint8
+        total = words[:, 0].astype(np.intp)
+        for column in words.T[1:]:
+            total += column
+        counts.append(total)
+    return np.concatenate(counts)
+
+
 def build_index(documents: Sequence[Document]) -> PackedIndex:
     """Stack the tables of `documents` into one index, in document order.
 
@@ -279,15 +297,23 @@ def build_index(documents: Sequence[Document]) -> PackedIndex:
     """
     offsets = np.cumsum([0] + [len(doc) for doc in documents], dtype=np.intp)[:-1]
     tables = {id(doc.table): doc.table for doc in documents}  # in first-seen order
-    first = dict(zip(tables, np.cumsum([0] + [len(t) for t in tables.values()]).tolist()))
+    starts = np.cumsum([0] + [len(t) for t in tables.values()]).tolist()
+    first = dict(zip(tables, starts))
     token_type = np.concatenate(
         [np.empty(0, dtype=np.intp)] + [doc.token_row + first[id(doc.table)] for doc in documents]
     )
-    types = np.concatenate([np.empty((PACKED_WORDS, 0), dtype=np.uint64)] + [t.T for t in tables.values()], axis=1)
-    identity = np.array_equal(token_type, np.arange(types.shape[1]))
+    # into a C-ordered `out`: concatenate picks its result's order from the
+    # inputs, and transposed views alone come out F-ordered, each plane a
+    # strided row
+    planes = np.empty((8 * PACKED_WORDS, starts[-1]), dtype=np.uint8)
+    np.concatenate(
+        [np.empty((8 * PACKED_WORDS, 0), dtype=np.uint8)] + [t.view(np.uint8).T for t in tables.values()],
+        axis=1, out=planes,
+    )
+    identity = np.array_equal(token_type, np.arange(starts[-1]))
     return PackedIndex(
-        types=types,
-        counts=np.bitwise_count(types).sum(axis=0, dtype=np.intp),
+        planes=planes,
+        counts=_set_bits(list(tables.values())),
         token_type=None if identity else token_type,
         offsets=offsets,
         doc_ids=tuple(doc.doc_id for doc in documents),

@@ -10,16 +10,18 @@ runs the pass over the collection's packed index (corpus.PackedIndex),
 gathers it per token unless every token is its own type, and reduces it
 per document.  Ties are broken by doc_id so the ordering is deterministic.
 
-The index stores its types column-major, as (PACKED_WORDS, V) uint64, so
-a query row's dots are PACKED_WORDS passes of AND, popcount and add over
-contiguous rows.  The pass walks the columns in blocks of BLOCK: for each
-block it runs every query row, so the block's AND and popcount temporaries
-(512 KB and 64 KB) stay in L2 cache and are allocated once, at most BLOCK
-columns wide, however large the collection.  A full-width pass per query
-row would stream a 64-bytes-per-column temporary through memory J times.
-An input of at most BLOCK columns, such as a document's own rows, is one
-block.  The dots are summed in uint16: a dot can reach 504 set bits, which
-uint8 would wrap.  A column's cosine denominator depends only on its bit
+The index stores its types byte-sliced, as (64, V) uint8 planes: row k
+holds byte k of every type, so one query byte meets every type in one pass
+over a contiguous V-byte row.  A dot is the sum over the 64 byte positions
+of popcount(query byte & type byte).  An input of at most BLOCK columns,
+such as a document's own rows or a clean collection's types, is scored
+with one broadcast AND over all query rows and all 64 planes, one popcount
+and one sum.  A wider input loops over each query row's nonzero bytes,
+about a third of them for a real word, and skips the planes a zero byte
+would add nothing from; each pass ANDs, popcounts and adds into the row
+through one V-byte scratch.  A dot is at most its query row's bit count,
+so the dots are uint8 unless a query row has more than 255 set bits, and
+uint16 then.  A column's cosine denominator depends only on its bit
 count, so it is gathered from a (J, MAX_COUNT + 1) table of
 sqrt(max(qcount * count, 1)) instead of being computed V times per row.
 
@@ -44,36 +46,40 @@ class RetrievalResult:
 
 
 MAX_COUNT = 64 * PACKED_WORDS  # the most set bits a packed row can hold
-BLOCK = 8192  # columns per block: the (PACKED_WORDS, BLOCK) AND temporary is 512 KB, so it stays in L2
+BLOCK = 4096  # the widest input scored with one broadcast: its (64, BLOCK) AND temporary is 256 KB per query row
 
 
-def similarities(types: np.ndarray, counts: np.ndarray, query: list[np.ndarray]) -> np.ndarray:
+def similarities(planes: np.ndarray, counts: np.ndarray, query: list[np.ndarray]) -> np.ndarray:
     """The (J, V) cosine similarity of each query vector with each packed
-    column of `types`, a (PACKED_WORDS, V) uint64 array whose column v has
-    counts[v] set bits.  The dots are computed BLOCK columns at a time, every
-    query row per block; the denominators and the division are one
-    full-width pass after them."""
+    column of `planes`, a (64, V) uint8 array whose row k holds byte k of
+    every column and whose column v has counts[v] set bits.  An input of at
+    most BLOCK columns is scored with one broadcast AND over all query rows;
+    a wider one, plane by plane over each query row's nonzero bytes.  The
+    denominators and the division are one full-width pass after the dots."""
     if not query:
         raise ValueError("empty query")
     qrows, qcounts = pack_phocs(query)
-    # The dots are exact integers whatever the word order or the blocking,
-    # which keeps the scores bit-identical under word permutation.  One square
-    # root of the product of the bit counts, exact in float64 since it is at
-    # most 504², scores an exact match exactly 1.0 (sqrt(n) * sqrt(n) differs
-    # from n for 251 of the 504 possible n).  A zero count has a zero dot, so
-    # its cosine stays 0.
-    width = types.shape[1]
-    masked = np.empty(PACKED_WORDS * min(width, BLOCK), dtype=np.uint64)  # reused by every block and query row
-    bits = np.empty(masked.size, dtype=np.uint8)
-    dots = np.empty((len(qrows), width), dtype=np.uint16)  # (J, V)
-    for start in range(0, width, BLOCK):
-        columns = types[:, start:start + BLOCK]
-        w = columns.shape[1]  # the last block is cut to its width
-        block_masked = masked[:PACKED_WORDS * w].reshape(PACKED_WORDS, w)
-        block_bits = bits[:PACKED_WORDS * w].reshape(PACKED_WORDS, w)
-        for q, row in zip(qrows, dots[:, start:start + w]):
-            np.bitwise_and(columns, q[:, None], out=block_masked)
-            np.bitwise_count(block_masked, out=block_bits).sum(axis=0, dtype=np.uint16, out=row)
+    qbytes = qrows.view(np.uint8)  # (J, 64): byte k of a row meets plane k
+    # The dots are exact integers whatever the word order or the path, which
+    # keeps the scores bit-identical under word permutation.  A dot is at most
+    # its query row's bit count, so uint8 holds it unless a row has more than
+    # 255 set bits.  One square root of the product of the bit counts, exact
+    # in float64 since it is at most 504², scores an exact match exactly 1.0
+    # (sqrt(n) * sqrt(n) differs from n for 251 of the 504 possible n).  A zero
+    # count has a zero dot, so its cosine stays 0.
+    dtype = np.uint8 if qcounts.max() <= 255 else np.uint16
+    width = planes.shape[1]
+    if width <= BLOCK:
+        masked = np.bitwise_and(planes, qbytes[:, :, None])  # (J, 64, V)
+        dots = np.bitwise_count(masked, out=masked).sum(axis=1, dtype=dtype)
+    else:
+        # about two thirds of a query row's bytes are zero and add nothing
+        dots = np.zeros((len(qrows), width), dtype=dtype)
+        scratch = np.empty(width, dtype=np.uint8)
+        for q, row in zip(qbytes, dots):
+            for k in np.flatnonzero(q):
+                np.bitwise_and(planes[k], q[k], out=scratch)
+                np.add(row, np.bitwise_count(scratch, out=scratch), out=row)
     # (J, V), not (V, J): every pass below then runs over V-length rows
     norms = np.multiply.outer(qcounts, np.arange(MAX_COUNT + 1), dtype=np.float64)
     np.sqrt(np.maximum(norms, 1.0, out=norms), out=norms)
@@ -107,7 +113,7 @@ def rank_collection(collection: Collection, query: list[np.ndarray], k: int) -> 
     if len(collection) == 0:
         raise ValueError("empty collection")
     index = collection.index
-    sims = similarities(index.types, index.counts, query)
+    sims = similarities(index.planes, index.counts, query)
     if index.token_type is not None:
         sims = np.take(sims, index.token_type, axis=1)
     scores = segment_maxima(sims, index.offsets).mean(axis=1)

@@ -20,7 +20,7 @@ def answer_attention(document: Document, query: list[np.ndarray]) -> AnswerPredi
     """Return the best-scoring snippet: lines (i, i + 1), or (0, 0) for a
     one-line document; ties go to the earlier start line."""
     rows = document.rows
-    sims = similarities(rows.T, np.bitwise_count(rows).sum(axis=1), query)  # J x tokens
+    sims = similarities(rows.view(np.uint8).T, np.bitwise_count(rows).sum(axis=1), query)  # J x tokens, a view of the rows
     per_line = segment_maxima(sims, document.line_starts)  # lines x J
     two_lines = len(per_line) > 1
     # a two-line snippet's maxima are those of its lines combined

@@ -94,7 +94,7 @@ def index_maxima(index: PackedIndex, query: list[np.ndarray], starts: np.ndarray
     """The (S, J) segment maxima of `query` over `index`'s tokens, as
     rank_collection computes them: the similarity of every type, gathered
     per token unless the index's token_type is None (the identity)."""
-    sims = similarities(index.types, index.counts, query)
+    sims = similarities(index.planes, index.counts, query)
     if index.token_type is not None:
         sims = np.take(sims, index.token_type, axis=1)
     return segment_maxima(sims, starts)

@@ -242,7 +242,7 @@ class TestLoadCollection:
             for column in ("table", "token_row"):
                 a, b = getattr(doc, column), getattr(other, column)
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), column
-        for name in ("types", "counts", "token_type", "offsets"):
+        for name in ("planes", "counts", "token_type", "offsets"):
             a, b = getattr(collection.index, name), getattr(reloaded.index, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
         assert reloaded.index.doc_ids == collection.index.doc_ids
@@ -345,7 +345,7 @@ class TestLoadMutatedCollection:
             for doc in docs:
                 assert_document_invariants(doc)
             index = loaded.index  # token_type None maps token i to type i
-            mapped = index.types.shape[1] if index.token_type is None else len(index.token_type)
+            mapped = index.planes.shape[1] if index.token_type is None else len(index.token_type)
             assert mapped == sum(len(d) for d in docs)
             for entry in collection["documents"]:  # what loaded must agree with the file
                 words = loaded[entry["doc_id"]].words
@@ -706,7 +706,7 @@ def test_index_token_type_is_none_only_when_each_token_is_its_own_type(tmp_path,
     )
     noisy = corrupt_collection(repeated, 0.1, rng)
     assert noisy.index.token_type is None
-    assert noisy.index.types.shape[1] == sum(len(d) for d in noisy.ordered())
+    assert noisy.index.planes.shape[1] == sum(len(d) for d in noisy.ordered())
 
 
 def test_index_of_shared_table_scores_as_index_of_copies():
@@ -717,8 +717,8 @@ def test_index_of_shared_table_scores_as_index_of_copies():
     })
     a, b = shared.index, copies.index
     table = shared.ordered()[0].table
-    np.testing.assert_array_equal(a.types, table.T)  # the shared table once
-    np.testing.assert_array_equal(b.types, np.concatenate([table] * len(shared)).T)  # each copy
+    np.testing.assert_array_equal(a.planes, table.view(np.uint8).T)  # the shared table once
+    np.testing.assert_array_equal(b.planes, np.concatenate([table] * len(shared)).view(np.uint8).T)  # each copy
     words = sorted({t for d in shared.ordered() for t in d.transcriptions})
     for w in words:
         query = [phoc_encode(w)]

@@ -83,7 +83,8 @@ def built_collection(flip_rate: float) -> str:
     index = collection.index
     token_type = None if index.token_type is None else index.token_type.tolist()
     lines.append(repr((index.counts.tolist(), token_type, index.offsets.tolist(), index.doc_ids)))
-    lines.append(index.types.tobytes().hex())
+    # the planes in the (PACKED_WORDS, V) uint64 layout the digest was taken in
+    lines.append(np.ascontiguousarray(index.planes.T).view(np.uint64).T.tobytes().hex())
     lines.extend(
         repr((q.question_id, q.text, q.tokens, q.gold_doc_id, q.gold_word_span, q.gold_line_span)) for q in questions
     )

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,12 +50,22 @@ class TestPhocEncode:
         assert level2.sum() == 2.0
 
     def test_rejects_out_of_alphabet(self):
-        with pytest.raises(ValueError):
-            phoc_encode("Ab")
+        for word, char in (("Ab", "A"), ("a-b", "-"), ("ab.", ".")):
+            with pytest.raises(ValueError, match=f"character '{re.escape(char)}' outside alphabet"):
+                phoc_encode(word)
 
     def test_binary_output(self):
         v = phoc_encode("hello42")
         assert set(np.unique(v)) <= {0.0, 1.0}
+
+    def test_every_length_up_to_40_matches_reference(self):
+        # the encoder's per-length slot table against the loop over every
+        # (level, region, position), ties included (lengths 3, 6, 7, ...)
+        rng = np.random.default_rng(40)
+        for n in range(41):
+            for _ in range(5):
+                word = "".join(rng.choice(list(ALPHABET), n))
+                assert phoc_encode(word).tobytes() == phoc_reference(word).tobytes(), word
 
     @given(words)
     @settings(max_examples=300, deadline=None)

@@ -80,12 +80,19 @@ class TestDocScore:
         assert after >= before - 1e-12
 
 
-def full_width_similarities(types, counts, query):
-    """similarities as one full-width expression: every query row against
-    all of `types` at once, then the cosine over the exact dots."""
+def full_width_similarities(planes, counts, query):
+    """similarities as one full-width expression over packed rows: every
+    query row against all the (PACKED_WORDS,) uint64 rows of `planes` at
+    once, then the cosine over the exact dots."""
+    rows = np.ascontiguousarray(planes.T).view(np.uint64)
     qrows, qcounts = pack_phocs(query)
-    dots = np.stack([np.bitwise_count(types & q[:, None]).sum(axis=0) for q in qrows])
+    dots = np.stack([np.bitwise_count(rows & q).sum(axis=1) for q in qrows])
     return dots / np.sqrt(np.maximum(np.multiply.outer(qcounts, counts), 1))
+
+
+def packed_rows(index):
+    """The (V, PACKED_WORDS) uint64 packed row of each type of `index`."""
+    return np.ascontiguousarray(index.planes.T).view(np.uint64)
 
 
 class TestSegmentMaxima:
@@ -93,7 +100,7 @@ class TestSegmentMaxima:
     def row_major_maxima(index, query, starts):
         """The kernel over one packed row per type, summing each row's
         popcounts along the row."""
-        rows = np.ascontiguousarray(index.types.T)
+        rows = packed_rows(index)
         qrows, qcounts = pack_phocs(query)
         dots = np.stack([np.bitwise_count(rows & q).sum(axis=1) for q in qrows], axis=1)
         sims = dots / np.sqrt(np.maximum(np.outer(index.counts, qcounts), 1))
@@ -115,7 +122,7 @@ class TestSegmentMaxima:
         starts = doc.line_starts
         # as answer_attention scores a document: its own rows, reduced per line
         rows = doc.rows
-        got = segment_maxima(similarities(rows.T, np.bitwise_count(rows).sum(axis=1), query), starts)
+        got = segment_maxima(similarities(rows.view(np.uint8).T, np.bitwise_count(rows).sum(axis=1), query), starts)
         assert got.flags.c_contiguous
         assert got.tobytes() == self.row_major_maxima(build_index([doc]), query, starts).tobytes()
 
@@ -125,12 +132,12 @@ class TestSegmentMaxima:
         index = corrupt_collection(base, flip_rate, np.random.default_rng(3)).index
         # an empty column (count 0) and a full one (504) besides the collection's types
         extra = pack_phocs([np.zeros(PHOC_DIM), np.ones(PHOC_DIM)])[0]
-        types = np.ascontiguousarray(np.concatenate([index.types, extra.T], axis=1))
-        counts = np.bitwise_count(types).sum(axis=0)
+        planes = np.ascontiguousarray(np.concatenate([index.planes, extra.view(np.uint8).T], axis=1))
+        counts = np.bitwise_count(planes).sum(axis=0)
         query = [phoc_encode("panopticon"), np.zeros(PHOC_DIM), np.ones(PHOC_DIM), phoc_encode("x")]
-        expected = full_width_similarities(types, counts, query)
+        expected = full_width_similarities(planes, counts, query)
         for given_counts in (counts, counts.astype(np.intp)):
-            got = similarities(types, given_counts, query)
+            got = similarities(planes, given_counts, query)
             assert got.dtype == np.float64 and got.flags.c_contiguous
             assert got.tobytes() == expected.tobytes()
         assert not got[1].any() and not got[:, -2].any()  # the zero row and the empty column
@@ -143,43 +150,80 @@ class TestSegmentMaxima:
         assert answer_attention(doc, [ones]).confidence == 1.0
 
 
+LONG_WORD = "abcdefghijklmnopqrstuvwxyz0123456789" * 4  # 468 set bits: its dots need uint16
+
+
 class TestBlocks:
-    """similarities walks the columns in blocks of retriever.BLOCK; the dots
-    are exact integers, so every block split gives the same bytes."""
+    """similarities scores an input of at most retriever.BLOCK columns with
+    one broadcast and a wider one plane by plane; the dots are exact
+    integers, uint8 unless a query row has more than 255 set bits, so both
+    branches give the same bytes."""
+
+    QUERIES = {  # per query length, one set with uint8 dots and one with uint16
+        1: [["panopticon"], [LONG_WORD]],
+        3: [["", "panopticon", "x"], ["", "ones", LONG_WORD]],
+    }
 
     @staticmethod
-    def packed_columns(rng, width):
-        # random PHOCs besides an empty column (count 0) and a full one (504)
-        phocs = list(rng.integers(0, 2, (width - 2, PHOC_DIM)).astype(np.float64))
-        rows = pack_phocs(phocs + [np.zeros(PHOC_DIM), np.ones(PHOC_DIM)])[0]
-        return np.ascontiguousarray(rows.T), np.bitwise_count(rows).sum(axis=1)
+    def query(words):
+        return [np.ones(PHOC_DIM) if w == "ones" else phoc_encode(w) for w in words]
+
+    @staticmethod
+    def packed_rows(rng, width):
+        # random PHOCs, the long word's, an empty one (count 0) and a full one (504)
+        phocs = list(rng.integers(0, 2, (width - 3, PHOC_DIM)).astype(np.float64))
+        return pack_phocs(phocs + [phoc_encode(LONG_WORD), np.zeros(PHOC_DIM), np.ones(PHOC_DIM)])
+
+    @staticmethod
+    def check(got, expected, words):
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.tobytes() == expected.tobytes()
+        assert not got[:, -2].any()  # the empty column
+        for word, sims in zip(words, got):
+            if word == "":
+                assert not sims.any()
+            elif word == "ones":
+                assert sims[-1] == 1.0  # 504 shared bits
+            elif word == LONG_WORD:
+                assert sims[-3] == 1.0  # 468 shared bits: a uint8 dot would wrap to 212
 
     @pytest.mark.parametrize("width", [3, 4, 5, 14])  # BLOCK - 1, BLOCK, BLOCK + 1 and 3 * BLOCK + 2
     @pytest.mark.parametrize("query_len", [1, 3])
     def test_byte_identical_across_block_boundaries(self, monkeypatch, rng, width, query_len):
         monkeypatch.setattr(retriever, "BLOCK", 4)
-        types, counts = self.packed_columns(rng, width)
-        query = [np.ones(PHOC_DIM), phoc_encode("panopticon"), np.zeros(PHOC_DIM)][:query_len]
-        expected = full_width_similarities(types, counts, query)
-        got = similarities(types, counts, query)
-        assert got.dtype == np.float64 and got.flags.c_contiguous
-        assert got.tobytes() == expected.tobytes()
-        assert not got[:, -2].any() and got[0, -1] == 1.0  # the empty column, and the full one against the all-ones row
+        rows, counts = self.packed_rows(rng, width)
+        planes = np.ascontiguousarray(rows.view(np.uint8).T)
+        assert pack_phocs([phoc_encode(LONG_WORD)])[1].tolist() == [468]
+        for words in self.QUERIES[query_len]:
+            query = self.query(words)
+            self.check(similarities(planes, counts, query), full_width_similarities(planes, counts, query), words)
 
     def test_transposed_rows_as_answer_attention_passes_them(self, monkeypatch, rng):
         monkeypatch.setattr(retriever, "BLOCK", 4)
-        types, counts = self.packed_columns(rng, 14)
-        rows = np.ascontiguousarray(types.T)
-        assert not rows.T.flags.c_contiguous
-        query = [phoc_encode("panopticon"), phoc_encode("x"), np.ones(PHOC_DIM)]
-        got = similarities(rows.T, counts, query)
-        assert got.tobytes() == full_width_similarities(types, counts, query).tobytes()
+        for width in (4, 14):  # the broadcast and the plane loop
+            rows, counts = self.packed_rows(rng, width)
+            strided = rows.view(np.uint8).T
+            assert not strided.flags.c_contiguous
+            planes = np.ascontiguousarray(strided)
+            for words in self.QUERIES[3]:
+                query = self.query(words)
+                self.check(similarities(strided, counts, query), full_width_similarities(planes, counts, query), words)
+
+    def test_index_planes_c_contiguous(self):
+        base, _ = generate(GeneratorSpec(num_documents=30, num_questions=1, vocab_size=100, seed=2))
+        noisy = corrupt_collection(base, 0.2, np.random.default_rng(2))
+        for c in (base, noisy):
+            planes = c.index.planes
+            assert planes.dtype == np.uint8 and planes.flags.c_contiguous
+            rows = np.concatenate([doc.rows for doc in c.ordered()])
+            per_token = planes if c.index.token_type is None else planes[:, c.index.token_type]
+            np.testing.assert_array_equal(per_token, rows.view(np.uint8).T)
 
     def test_rank_collection_beyond_one_block(self):
         # a corrupted collection: every token is its own column, more of them than one block
         base, _ = generate(GeneratorSpec(num_documents=190, num_questions=1, vocab_size=300, seed=5))
         c = corrupt_collection(base, 0.2, np.random.default_rng(5))
-        assert c.index.token_type is None and c.index.types.shape[1] > retriever.BLOCK
+        assert c.index.token_type is None and c.index.planes.shape[1] > retriever.BLOCK
         words = sorted({w.transcription for doc in base.ordered() for w in doc.words})
         query = [phoc_encode(words[i]) for i in np.random.default_rng(5).integers(0, len(words), 3)]
         scores = TestSegmentMaxima.row_major_maxima(c.index, query, c.index.offsets).mean(axis=1)
@@ -187,19 +231,20 @@ class TestBlocks:
         results = rank_collection(c, query, k=len(c))
         assert [(r.doc_id, r.score) for r in results] == oracle
 
-    def test_temporaries_bounded_by_a_block(self, rng):
-        # one full-width AND temporary would take 64 bytes per column
+    def test_wide_branch_temporaries_bounded(self, rng):
+        # a (64, V) AND temporary would take 64 bytes per column; the wide
+        # branch needs the (1, V) dots, a V-byte scratch and the float64 result
         width = 4 * retriever.BLOCK
-        types = rng.integers(0, 2**63, (PACKED_WORDS, width), dtype=np.uint64)
-        counts = np.bitwise_count(types).sum(axis=0, dtype=np.intp)
+        planes = rng.integers(0, 256, (8 * PACKED_WORDS, width), dtype=np.uint8)
+        counts = np.bitwise_count(planes).sum(axis=0, dtype=np.intp)
         query = [phoc_encode("panopticon")]
         tracemalloc.start()
         try:
-            similarities(types, counts, query)
+            similarities(planes, counts, query)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * width
+        assert peak < 16 * width
 
 
 class TestRankCollection:
