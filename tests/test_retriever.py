@@ -80,19 +80,19 @@ class TestDocScore:
         assert after >= before - 1e-12
 
 
+def packed_rows(planes):
+    """The (V, PACKED_WORDS) uint64 packed row of each column of `planes`."""
+    return np.ascontiguousarray(planes.T).view(np.uint64)
+
+
 def full_width_similarities(planes, counts, query):
     """similarities as one full-width expression over packed rows: every
-    query row against all the (PACKED_WORDS,) uint64 rows of `planes` at
-    once, then the cosine over the exact dots."""
-    rows = np.ascontiguousarray(planes.T).view(np.uint64)
+    query row against all the packed rows of `planes` at once, then the
+    cosine over the exact dots."""
+    rows = packed_rows(planes)
     qrows, qcounts = pack_phocs(query)
     dots = np.stack([np.bitwise_count(rows & q).sum(axis=1) for q in qrows])
     return dots / np.sqrt(np.maximum(np.multiply.outer(qcounts, counts), 1))
-
-
-def packed_rows(index):
-    """The (V, PACKED_WORDS) uint64 packed row of each type of `index`."""
-    return np.ascontiguousarray(index.planes.T).view(np.uint64)
 
 
 class TestSegmentMaxima:
@@ -100,7 +100,7 @@ class TestSegmentMaxima:
     def row_major_maxima(index, query, starts):
         """The kernel over one packed row per type, summing each row's
         popcounts along the row."""
-        rows = packed_rows(index)
+        rows = packed_rows(index.planes)
         qrows, qcounts = pack_phocs(query)
         dots = np.stack([np.bitwise_count(rows & q).sum(axis=1) for q in qrows], axis=1)
         sims = dots / np.sqrt(np.maximum(np.outer(index.counts, qcounts), 1))
@@ -169,7 +169,7 @@ class TestBlocks:
         return [np.ones(PHOC_DIM) if w == "ones" else phoc_encode(w) for w in words]
 
     @staticmethod
-    def packed_rows(rng, width):
+    def random_rows(rng, width):
         # random PHOCs, the long word's, an empty one (count 0) and a full one (504)
         phocs = list(rng.integers(0, 2, (width - 3, PHOC_DIM)).astype(np.float64))
         return pack_phocs(phocs + [phoc_encode(LONG_WORD), np.zeros(PHOC_DIM), np.ones(PHOC_DIM)])
@@ -191,7 +191,7 @@ class TestBlocks:
     @pytest.mark.parametrize("query_len", [1, 3])
     def test_byte_identical_across_block_boundaries(self, monkeypatch, rng, width, query_len):
         monkeypatch.setattr(retriever, "BLOCK", 4)
-        rows, counts = self.packed_rows(rng, width)
+        rows, counts = self.random_rows(rng, width)
         planes = np.ascontiguousarray(rows.view(np.uint8).T)
         assert pack_phocs([phoc_encode(LONG_WORD)])[1].tolist() == [468]
         for words in self.QUERIES[query_len]:
@@ -201,7 +201,7 @@ class TestBlocks:
     def test_transposed_rows_as_answer_attention_passes_them(self, monkeypatch, rng):
         monkeypatch.setattr(retriever, "BLOCK", 4)
         for width in (4, 14):  # the broadcast and the plane loop
-            rows, counts = self.packed_rows(rng, width)
+            rows, counts = self.random_rows(rng, width)
             strided = rows.view(np.uint8).T
             assert not strided.flags.c_contiguous
             planes = np.ascontiguousarray(strided)
